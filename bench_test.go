@@ -305,9 +305,9 @@ func BenchmarkShardedRecorderParallel(b *testing.B) {
 	rec := machine.NewShardedRecorder(3)
 	b.RunParallel(func(pb *testing.PB) {
 		h := rec.Handle()
-		e := machine.Event{Kind: machine.EvLoad, Arg: 1, Words: 64}
+		e := []machine.Event{{Kind: machine.EvLoad, Arg: 1, Words: 64}}
 		for pb.Next() {
-			h.Record(e)
+			h.RecordBatch(e)
 		}
 	})
 	if rec.Merge().Iface[1].LoadWords == 0 {
@@ -315,7 +315,7 @@ func BenchmarkShardedRecorderParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedRecorderShared measures the shared Record path: all
+// BenchmarkShardedRecorderShared measures the shared RecordBatch path: all
 // goroutines record through the ShardedRecorder itself rather than private
 // handles. Since the lazily-initialized shared shard moved behind an atomic
 // pointer, the steady state is lock-free (one atomic load plus the shard's
@@ -324,9 +324,9 @@ func BenchmarkShardedRecorderParallel(b *testing.B) {
 func BenchmarkShardedRecorderShared(b *testing.B) {
 	rec := machine.NewShardedRecorder(3)
 	b.RunParallel(func(pb *testing.PB) {
-		e := machine.Event{Kind: machine.EvLoad, Arg: 1, Words: 64}
+		e := []machine.Event{{Kind: machine.EvLoad, Arg: 1, Words: 64}}
 		for pb.Next() {
-			rec.Record(e)
+			rec.RecordBatch(e)
 		}
 	})
 	if rec.Merge().Iface[1].LoadWords == 0 {

@@ -43,8 +43,8 @@ func TestConformanceVerdictExitCodes(t *testing.T) {
 		reg.Register(monitor.OutputFloor("p", floor))
 		mon := monitor.New(machine.GenericLevels(2), reg)
 		mon.Phase("p")
-		mon.Record(machine.Event{Kind: machine.EvLoad, Arg: 0, Words: 100})
-		mon.Record(machine.Event{Kind: machine.EvStore, Arg: 0, Words: 50})
+		mon.RecordBatch([]machine.Event{{Kind: machine.EvLoad, Arg: 0, Words: 100}})
+		mon.RecordBatch([]machine.Event{{Kind: machine.EvStore, Arg: 0, Words: 50}})
 		return mon
 	}
 	if rc := conformanceVerdict(mk(1<<40), "strict", testLogger()); rc != 1 {

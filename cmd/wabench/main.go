@@ -145,9 +145,6 @@ func run(args []string) (rc int) {
 	logFormat := fs.String("log", "text", "diagnostic log format: text | json")
 	logLevel := fs.String("log-level", "info", "diagnostic log level: debug | info | warn | error")
 	pprofOn := fs.Bool("pprof", false, "with -serve: expose /debug/pprof profiling endpoints")
-	serviceAddr := fs.String("service", "", "standalone mode: serve the multi-tenant benchmark API (POST /runs, result cache, load shedding) on this address")
-	serviceWorkers := fs.Int("service-workers", 4, "with -service: worker-pool size")
-	serviceQueue := fs.Int("service-queue", 64, "with -service: bounded job-queue capacity (full queue sheds with 429)")
 	flightEvents := fs.Int("flight", 0, "attach an always-on flight recorder keeping the last N events per hierarchy (0 = off)")
 	flightDump := fs.String("flight-dump", "", "with -flight: write violation forensic bundles (JSON + Perfetto trace) into this directory")
 	fs.Parse(args) //nolint:errcheck
@@ -158,8 +155,8 @@ func run(args []string) (rc int) {
 		return 2
 	}
 	// One Session owns this run's observability wiring end to end; nothing
-	// is process-global, so an embedding caller (or the benchmark service)
-	// can run many sessions concurrently.
+	// is process-global, so an embedding caller can run many sessions
+	// concurrently.
 	sess := experiments.NewSession()
 	sess.SetLogger(logger)
 
@@ -216,14 +213,6 @@ func run(args []string) (rc int) {
 			return 2
 		}
 		return runCompare(fs.Arg(0), fs.Arg(1), *compareNsRatio, *compareEvEps)
-	}
-
-	if *serviceAddr != "" {
-		if *jsonOut || *benchJSON != "" || *serveAddr != "" || fs.NArg() > 0 {
-			fmt.Fprintln(os.Stderr, "wabench: -service is a standalone mode; it cannot combine with -json, -benchjson, -serve, or section arguments")
-			return 2
-		}
-		return runService(*serviceAddr, *serviceWorkers, *serviceQueue, logger)
 	}
 
 	var hw costmodel.HW

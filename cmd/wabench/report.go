@@ -11,8 +11,9 @@ import (
 )
 
 // PhaseReport is one counted phase of the -json output: the full machine
-// snapshot plus the alpha-beta time a streaming costmodel.Recorder charged
-// to the phase's exact event stream.
+// snapshot plus the alpha-beta time a streaming machine.CostRecorder, priced
+// with the hardware's costmodel.HW coefficients, charged to the phase's
+// exact event stream.
 type PhaseReport struct {
 	Name             string           `json:"name"`
 	PredictedSeconds float64          `json:"predictedSeconds"`
@@ -27,7 +28,7 @@ type Report struct {
 }
 
 // buildJSONReport runs a small suite of counted phases, each on a fresh
-// hierarchy with a costmodel.Recorder attached, and snapshots the counters.
+// hierarchy with a machine.CostRecorder attached, and snapshots the counters.
 // Phase sizes are fixed (they already finish in milliseconds), so quick only
 // tags the document. Each phase passes its hierarchy through the session's
 // observability hooks, so any installed stream recorders, profiler, monitor
@@ -38,7 +39,7 @@ func buildJSONReport(sess *experiments.Session, quick bool, hwName string, hw co
 	rep := Report{HW: hwName, Quick: quick}
 
 	phase := func(name string, h *machine.Hierarchy, run func()) {
-		rec := costmodel.NewRecorder(hw)
+		rec := machine.NewCostRecorder(hw.CostModel())
 		h.Attach(rec)
 		sess.Mark(name)
 		sess.Observe(h)

@@ -42,15 +42,8 @@ func NewBeladyRecorder(sizeBytes, lineBytes int) *BeladyRecorder {
 // WantsTouch subscribes the recorder to the per-element stream.
 func (r *BeladyRecorder) WantsTouch() bool { return true }
 
-// Record buffers one touch; every other event kind carries no address.
-func (r *BeladyRecorder) Record(e machine.Event) {
-	if e.Kind != machine.EvTouch {
-		return
-	}
-	r.ops = append(r.ops, access.Op{Addr: e.Addr, Write: e.Write})
-}
-
-// RecordBatch buffers a block of touches.
+// RecordBatch buffers a block's touches; every other event kind carries no
+// address.
 func (r *BeladyRecorder) RecordBatch(events []machine.Event) {
 	for i := range events {
 		if events[i].Kind == machine.EvTouch {

@@ -12,7 +12,7 @@ import (
 
 func feedTouches(r *cache.BeladyRecorder, ops []access.Op) {
 	for _, op := range ops {
-		r.Record(machine.Event{Kind: machine.EvTouch, Addr: op.Addr, Write: op.Write})
+		r.RecordBatch([]machine.Event{{Kind: machine.EvTouch, Addr: op.Addr, Write: op.Write}})
 	}
 }
 
@@ -40,9 +40,9 @@ func TestBeladyRecorderMatchesSimulateOPT(t *testing.T) {
 	}
 
 	// Address-free events carry no trace.
-	rec.Record(machine.Event{Kind: machine.EvLoad, Arg: 0, Words: 10})
-	rec.Record(machine.Event{Kind: machine.EvBegin, Label: "x"})
-	rec.Record(machine.Event{Kind: machine.EvEnd})
+	rec.RecordBatch([]machine.Event{{Kind: machine.EvLoad, Arg: 0, Words: 10}})
+	rec.RecordBatch([]machine.Event{{Kind: machine.EvBegin, Label: "x"}})
+	rec.RecordBatch([]machine.Event{{Kind: machine.EvEnd}})
 	if rec.Len() != len(all) {
 		t.Errorf("non-touch events changed the buffer: %d ops, want %d", rec.Len(), len(all))
 	}
@@ -59,7 +59,7 @@ func TestBeladyRecorderOnMatMulTrace(t *testing.T) {
 	rec := cache.NewBeladyRecorder(size, line)
 	tr.Run(access.SinkFunc(func(addr uint64, write bool) {
 		collected.Access(addr, write)
-		rec.Record(machine.Event{Kind: machine.EvTouch, Addr: addr, Write: write})
+		rec.RecordBatch([]machine.Event{{Kind: machine.EvTouch, Addr: addr, Write: write}})
 	}))
 	if rec.Len() == 0 {
 		t.Fatal("trace emitted no touches")

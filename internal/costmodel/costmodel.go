@@ -10,7 +10,11 @@
 // coefficients. NA entries of the paper's tables are math.NaN().
 package costmodel
 
-import "math"
+import (
+	"math"
+
+	"writeavoid/internal/machine"
+)
 
 // HW holds the hardware cost coefficients: alpha = seconds/message, beta =
 // seconds/word, for the network and each local interface, split by
@@ -46,6 +50,19 @@ func NVMBacked(writePenalty float64) HW {
 	hw.Alpha23 = 4e-8 * writePenalty
 	hw.Beta23 = 4e-11 * writePenalty
 	return hw
+}
+
+// CostModel returns hw's two local interfaces as a machine.CostModel, so a
+// machine.CostRecorder attached to a hierarchy charges its exact event
+// stream: interface 0 (L1<->L2) loads at Alpha21/Beta21 and stores at
+// Alpha12/Beta12, interface 1 (L2<->L3) loads at Alpha32/Beta32 and stores
+// at Alpha23/Beta23, the NVM write penalty. Flops are free (HW carries no
+// compute rate); network traffic is metered by dist.NetCounters, not here.
+func (hw HW) CostModel() machine.CostModel {
+	return machine.CostModel{Iface: []machine.CostParams{
+		{AlphaLoad: hw.Alpha21, BetaLoad: hw.Beta21, AlphaStore: hw.Alpha12, BetaStore: hw.Beta12},
+		{AlphaLoad: hw.Alpha32, BetaLoad: hw.Beta32, AlphaStore: hw.Alpha23, BetaStore: hw.Beta23},
+	}}
 }
 
 // NA marks an empty table cell.

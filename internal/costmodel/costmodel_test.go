@@ -3,6 +3,8 @@ package costmodel
 import (
 	"math"
 	"testing"
+
+	"writeavoid/internal/machine"
 )
 
 func TestTable1Shape(t *testing.T) {
@@ -226,6 +228,64 @@ func TestNVMBackedAsymmetry(t *testing.T) {
 	hw := NVMBacked(8)
 	if hw.Beta23 != 8*hw.Beta32 {
 		t.Fatalf("write penalty not applied: b23=%g b32=%g", hw.Beta23, hw.Beta32)
+	}
+}
+
+func almostEq(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-12*math.Max(1, math.Abs(b))
+}
+
+// A machine.CostRecorder priced with HW.CostModel charges each event with the
+// directional HW coefficients: reads at alpha21/alpha32, writes at
+// alpha12/alpha23, flops free.
+func TestHWCostModelChargesDirectionalCoefficients(t *testing.T) {
+	hw := NVMBacked(8)
+	rec := machine.NewCostRecorder(hw.CostModel())
+	h := machine.New(false,
+		machine.Level{Name: "L1"},
+		machine.Level{Name: "L2"},
+		machine.Level{Name: "L3"},
+	)
+	h.Attach(rec)
+
+	h.Load(1, 1000) // NVM read
+	h.Store(1, 500) // NVM write: the expensive direction
+	// With an 8x write penalty the NVM write of half the words must cost
+	// more than the NVM read.
+	if rec.StoreTime() <= rec.LoadTime() {
+		t.Fatalf("NVM write %g should exceed NVM read %g under penalty",
+			rec.StoreTime(), rec.LoadTime())
+	}
+
+	h.Load(0, 300)
+	h.Store(0, 200)
+	h.Flops(1 << 20)
+	loads := hw.Alpha32 + hw.Beta32*1000 + hw.Alpha21 + hw.Beta21*300
+	stores := hw.Alpha23 + hw.Beta23*500 + hw.Alpha12 + hw.Beta12*200
+	if got := rec.LoadTime(); !almostEq(got, loads) {
+		t.Fatalf("LoadTime() = %g want %g", got, loads)
+	}
+	if got := rec.StoreTime(); !almostEq(got, stores) {
+		t.Fatalf("StoreTime() = %g want %g", got, stores)
+	}
+	if got := rec.Time(); !almostEq(got, loads+stores) {
+		t.Fatalf("Time() = %g want %g", got, loads+stores)
+	}
+
+	rec.Reset()
+	if rec.Time() != 0 {
+		t.Fatalf("Reset left time %g", rec.Time())
+	}
+}
+
+// The cost model's ω is the NVM write/read asymmetry of the Section 7
+// coefficients: NVMBacked(p) built its Beta23 as p times Beta32.
+func TestHWCostModelOmega(t *testing.T) {
+	if got := NVMBacked(8).CostModel().Omega(); got != 8 {
+		t.Fatalf("NVMBacked(8) ω = %g want 8", got)
+	}
+	if got := DRAMOnly().CostModel().Omega(); got != 1 {
+		t.Fatalf("DRAMOnly ω = %g want 1", got)
 	}
 }
 

@@ -90,12 +90,7 @@ func TestTracedMatMulIdentical(t *testing.T) {
 		sink := &access.Recorder{}
 		res := Run(levels2(), ref, func(h *machine.Hierarchy) {
 			tr := core.NewTracer(h)
-			trec := machine.NewTraceRecorder(sink)
-			if ref {
-				h.Attach(PerEventOnly{R: trec})
-			} else {
-				h.Attach(trec)
-			}
+			h.Attach(machine.NewTraceRecorder(sink))
 			cm := matrix.New(n, n)
 			tr.Bind(a, ra)
 			tr.Bind(b, rb)
@@ -158,8 +153,20 @@ func TestExternalSortIdentical(t *testing.T) {
 	})
 }
 
+// oneAtATime is the smp reference delivery: it hides the ShardedRecorder's
+// Handle, so every worker records through the shared shard, and unrolls each
+// worker batch into batches of one.
+type oneAtATime struct{ r machine.Recorder }
+
+func (o oneAtATime) RecordBatch(es []machine.Event) {
+	for i := range es {
+		o.r.RecordBatch(es[i : i+1])
+	}
+}
+
 // TestRunParallelIdentical checks the smp worker-side batching: merged touch
-// totals from concurrent workers equal the per-event engine's, which are
+// totals from concurrent workers, each recording blocks through its own
+// handle, equal the one-event-at-a-time shared-shard reference's, which are
 // schedule-independent by construction.
 func TestRunParallelIdentical(t *testing.T) {
 	sched := smp.Schedule{Queues: make([][]smp.Task, 4)}
@@ -179,7 +186,7 @@ func TestRunParallelIdentical(t *testing.T) {
 		sh := machine.NewShardedRecorder(2)
 		var rec machine.Recorder = sh
 		if ref {
-			rec = PerEventOnly{R: sh}
+			rec = oneAtATime{r: sh}
 		}
 		if _, err := smp.RunParallel(sched, rec); err != nil {
 			t.Fatal(err)
@@ -236,7 +243,7 @@ func TestDist2SocketIdentical(t *testing.T) {
 	refRun := run(1)
 	gotRun := run(0) // default batched capacity
 	if refRun != gotRun {
-		t.Fatal("2-socket dist run diverges between per-event and batched engines")
+		t.Fatal("2-socket dist run diverges between reference and batched engines")
 	}
 	// A rank snapshot must actually carry remote traffic, or the remote
 	// sub-counter comparison is vacuous.

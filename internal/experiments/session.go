@@ -15,9 +15,9 @@ import (
 
 // Session carries one run's observability wiring: the experiments construct
 // their hierarchies internally, so live observability is threaded through a
-// Session value rather than process-global hooks — two concurrent runs (the
-// benchmark service executes many at once) each own a Session and never see
-// each other's recorders. wabench installs stream recorders, a profiler, a
+// Session value rather than process-global hooks — two concurrent runs
+// (tests execute several at once) each own a Session and never see each
+// other's recorders. wabench installs stream recorders, a profiler, a
 // conformance monitor and/or an HTTP server on its Session; each section
 // calls mark at entry (a phase boundary on every installed sink), every
 // serial hierarchy a section builds passes through observe (which attaches

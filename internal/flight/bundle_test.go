@@ -41,9 +41,9 @@ func testBundle() *flight.Bundle {
 	g := flight.NewGroup("mm", 8, nil)
 	for rank := 0; rank < 2; rank++ {
 		rec := g.Recorder(rank)
-		rec.Record(machine.Event{Kind: machine.EvBegin, Label: "step 1"})
-		rec.Record(machine.Event{Kind: machine.EvLoad, Arg: 0, Words: int64(10 + rank)})
-		rec.Record(machine.Event{Kind: machine.EvEnd})
+		rec.RecordBatch([]machine.Event{{Kind: machine.EvBegin, Label: "step 1"}})
+		rec.RecordBatch([]machine.Event{{Kind: machine.EvLoad, Arg: 0, Words: int64(10 + rank)}})
+		rec.RecordBatch([]machine.Event{{Kind: machine.EvEnd}})
 	}
 
 	return &flight.Bundle{
@@ -136,13 +136,13 @@ func TestWriteTraceValidates(t *testing.T) {
 	// Make the truncation case explicit: a ring so small the Begin of the
 	// final span was overwritten, leaving a bare End plus an open span.
 	fr := flight.New(4, nil)
-	fr.Record(machine.Event{Kind: machine.EvBegin, Label: "lost"})
+	fr.RecordBatch([]machine.Event{{Kind: machine.EvBegin, Label: "lost"}})
 	for i := 0; i < 6; i++ {
-		fr.Record(machine.Event{Kind: machine.EvLoad, Arg: 0, Words: 1})
+		fr.RecordBatch([]machine.Event{{Kind: machine.EvLoad, Arg: 0, Words: 1}})
 	}
-	fr.Record(machine.Event{Kind: machine.EvEnd})
-	fr.Record(machine.Event{Kind: machine.EvBegin, Label: "open"})
-	fr.Record(machine.Event{Kind: machine.EvStore, Arg: 0, Words: 2})
+	fr.RecordBatch([]machine.Event{{Kind: machine.EvEnd}})
+	fr.RecordBatch([]machine.Event{{Kind: machine.EvBegin, Label: "open"}})
+	fr.RecordBatch([]machine.Event{{Kind: machine.EvStore, Arg: 0, Words: 2}})
 	b.Ranks = append(b.Ranks, flight.RankWindow{Run: "torn", Rank: 0, Window: fr.Peek("violation")})
 
 	var buf bytes.Buffer

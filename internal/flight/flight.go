@@ -18,7 +18,7 @@
 // Exactness invariants, pinned by the package tests:
 //
 //   - The ring's decoded tail is bit-identical to the trailing events the
-//     per-event reference engine (batch capacity 1) delivers to an
+//     reference engine (batch capacity 1) delivers to an
 //     identically-interested recorder. Batching never changes which events
 //     the black box holds, only when they arrived.
 //   - The last closed phase's Delta equals cum.Sub(prev) over exactly the
@@ -41,11 +41,11 @@ import (
 // tens of KB per hierarchy.
 const DefaultEvents = 1024
 
-// Recorder is the flight recorder: a machine.Recorder/BatchRecorder keeping
-// the last N events in a ring plus the open span stack and the running
-// phase context. It is internally locked — smp.RunParallel delivers batches
-// from many goroutines at once, and captures may come from HTTP handlers —
-// with one lock round-trip per batch, not per event. Like monitor.Monitor
+// Recorder is the flight recorder: a machine.Recorder keeping the last N
+// events in a ring plus the open span stack and the running phase context.
+// It is internally locked — smp.RunParallel delivers batches from many
+// goroutines at once, and captures may come from HTTP handlers — with one
+// lock round-trip per batch, not per event. Like monitor.Monitor
 // it embeds a dirty-source set that only the run goroutine drives
 // (Phase/Capture); concurrent readers use Peek, which accepts batch
 // granularity instead of syncing.
@@ -112,13 +112,6 @@ func (r *Recorder) WantsTouch() bool { return r.touch }
 func (r *Recorder) SourceDirty(f machine.Flusher) { r.sources.SourceDirty(f) }
 func (r *Recorder) SourceClean(f machine.Flusher) { r.sources.SourceClean(f) }
 
-// Record appends one event.
-func (r *Recorder) Record(e machine.Event) {
-	r.mu.Lock()
-	r.record(e)
-	r.mu.Unlock()
-}
-
 // RecordBatch appends a block of events under one lock acquisition — the
 // steady-state fast path: a ring slot copy, a stack push/pop, and a counter
 // fold per event, no allocation.
@@ -155,7 +148,7 @@ func (r *Recorder) record(e machine.Event) {
 	case machine.EvRange:
 		// annotation only: in the ring, not in the counters
 	default:
-		r.g.Record(e)
+		r.g.Count(e)
 		r.events++
 	}
 }

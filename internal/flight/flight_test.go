@@ -13,15 +13,15 @@ import (
 // touchless flight recorder rides) is actually exercised.
 type touchSink struct{}
 
-func (touchSink) Record(machine.Event) {}
-func (touchSink) WantsTouch() bool     { return true }
+func (touchSink) RecordBatch([]machine.Event) {}
+func (touchSink) WantsTouch() bool            { return true }
 
-// capture is a plain per-event touchless recorder: with the reference engine
+// capture is a plain touchless recorder: with the reference engine
 // (batch capacity 1) it receives exactly the event set, in exactly the
 // order, that a default flight recorder subscribes to.
 type capture struct{ events []machine.Event }
 
-func (c *capture) Record(e machine.Event) { c.events = append(c.events, e) }
+func (c *capture) RecordBatch(es []machine.Event) { c.events = append(c.events, es...) }
 
 // drive emits a mixed workload: nested spans, loads/stores on two
 // interfaces, flops, residency marks, plus touch/range annotations that a
@@ -43,7 +43,7 @@ func drive(h *machine.Hierarchy) {
 	}
 }
 
-// referenceEvents runs drive under the per-event reference engine and
+// referenceEvents runs drive under the capacity-1 reference engine and
 // returns the sequence a touchless recorder was delivered.
 func referenceEvents() []machine.Event {
 	h := machine.New(false, machine.GenericLevels(3)...)

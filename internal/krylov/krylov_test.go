@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"writeavoid/internal/machine"
+	"writeavoid/internal/profile"
 )
 
 func randVec(n int, seed uint64) []float64 {
@@ -306,5 +309,21 @@ func TestGatherPeriodic(t *testing.T) {
 		if dst[i] != want[i] {
 			t.Fatalf("gather %v want %v", dst, want)
 		}
+	}
+}
+
+// Charging a Traffic meter with a span recorder attached allocates nothing:
+// R and W deliver through the meter's batch-of-one buffer, and Begin/End
+// cost exactly what the recorder's own span bookkeeping costs.
+func TestTrafficRecorderChargesAllocateNothing(t *testing.T) {
+	rec := profile.NewSpanRecorder(machine.GenericLevels(2))
+	tr := &Traffic{Rec: rec}
+	if avg := testing.AllocsPerRun(100, func() { tr.R(8); tr.W(4) }); avg != 0 {
+		t.Fatalf("R+W allocate %.1f per call pair, want 0", avg)
+	}
+	meter := testing.AllocsPerRun(100, func() { tr.Begin("phase"); tr.End() })
+	direct := testing.AllocsPerRun(100, func() { rec.Begin("phase"); rec.End() })
+	if meter != direct {
+		t.Fatalf("Begin+End through the meter allocate %.1f, the recorder alone %.1f", meter, direct)
 	}
 }

@@ -165,13 +165,22 @@ type Traffic struct {
 	// attribution recorder (profile.SpanRecorder) can split the W12 totals
 	// by solver phase. The plain counters above are unaffected.
 	Rec machine.Recorder
+	// one is the batch-of-one buffer emit hands to Rec, kept here so a
+	// charge allocates nothing.
+	one [1]machine.Event
+}
+
+// emit delivers e to the attached recorder as a batch of one.
+func (t *Traffic) emit(e machine.Event) {
+	t.one[0] = e
+	t.Rec.RecordBatch(t.one[:])
 }
 
 // R charges n words read from slow memory.
 func (t *Traffic) R(n int) {
 	t.Reads += int64(n)
 	if t.Rec != nil {
-		t.Rec.Record(machine.Event{Kind: machine.EvLoad, Words: int64(n)})
+		t.emit(machine.Event{Kind: machine.EvLoad, Words: int64(n)})
 	}
 }
 
@@ -179,7 +188,7 @@ func (t *Traffic) R(n int) {
 func (t *Traffic) W(n int) {
 	t.Writes += int64(n)
 	if t.Rec != nil {
-		t.Rec.Record(machine.Event{Kind: machine.EvStore, Words: int64(n)})
+		t.emit(machine.Event{Kind: machine.EvStore, Words: int64(n)})
 	}
 }
 
@@ -187,14 +196,14 @@ func (t *Traffic) W(n int) {
 // one.
 func (t *Traffic) Begin(label string) {
 	if t.Rec != nil {
-		t.Rec.Record(machine.Event{Kind: machine.EvBegin, Label: label})
+		t.emit(machine.Event{Kind: machine.EvBegin, Label: label})
 	}
 }
 
 // End closes the innermost open span; a no-op without a recorder.
 func (t *Traffic) End() {
 	if t.Rec != nil {
-		t.Rec.Record(machine.Event{Kind: machine.EvEnd})
+		t.emit(machine.Event{Kind: machine.EvEnd})
 	}
 }
 

@@ -51,13 +51,12 @@ func TestEventBatchBasics(t *testing.T) {
 	b.Append(Event{Kind: EvFlops})
 }
 
-// collectRecorder captures the raw per-event stream through the shim path
-// (no RecordBatch), so it sees exactly what a legacy recorder sees.
+// collectRecorder captures the raw delivered event stream.
 type collectRecorder struct {
 	events []Event
 }
 
-func (c *collectRecorder) Record(e Event) { c.events = append(c.events, e) }
+func (c *collectRecorder) RecordBatch(es []Event) { c.events = append(c.events, es...) }
 func (c *collectRecorder) WantsTouch() bool {
 	return true
 }

@@ -290,33 +290,29 @@ func NewCostRecorder(cm CostModel) *CostRecorder {
 	}
 }
 
-// Record charges one event.
-func (c *CostRecorder) Record(e Event) {
-	switch e.Kind {
-	case EvLoad:
-		p := c.Model.Iface[e.Arg]
-		if e.Remote {
-			c.loadT[e.Arg] += p.AlphaLoad + p.betaRemoteLoad()*float64(e.Words)
-		} else {
-			c.loadT[e.Arg] += p.AlphaLoad + p.BetaLoad*float64(e.Words)
-		}
-	case EvStore:
-		p := c.Model.Iface[e.Arg]
-		if e.Remote {
-			c.storeT[e.Arg] += p.AlphaStore + p.betaRemoteStore()*float64(e.Words)
-		} else {
-			c.storeT[e.Arg] += p.AlphaStore + p.BetaStore*float64(e.Words)
-		}
-	case EvFlops:
-		c.flopT += c.Model.PerFlop * float64(e.Words)
-	}
-}
-
-// RecordBatch charges a block of events: per-interface times accumulate in
-// the same float64 order as per-event charging, so Time is bit-identical.
+// RecordBatch charges a block of events in order, one float64 accumulation
+// per event, so Time does not depend on how the stream was blocked.
 func (c *CostRecorder) RecordBatch(events []Event) {
 	for i := range events {
-		c.Record(events[i])
+		e := &events[i]
+		switch e.Kind {
+		case EvLoad:
+			p := c.Model.Iface[e.Arg]
+			if e.Remote {
+				c.loadT[e.Arg] += p.AlphaLoad + p.betaRemoteLoad()*float64(e.Words)
+			} else {
+				c.loadT[e.Arg] += p.AlphaLoad + p.BetaLoad*float64(e.Words)
+			}
+		case EvStore:
+			p := c.Model.Iface[e.Arg]
+			if e.Remote {
+				c.storeT[e.Arg] += p.AlphaStore + p.betaRemoteStore()*float64(e.Words)
+			} else {
+				c.storeT[e.Arg] += p.AlphaStore + p.BetaStore*float64(e.Words)
+			}
+		case EvFlops:
+			c.flopT += c.Model.PerFlop * float64(e.Words)
+		}
 	}
 }
 

@@ -83,11 +83,14 @@ type Event struct {
 	Label  string // span name, EvBegin only
 }
 
-// Recorder consumes the event stream of a Hierarchy. Record is called
-// synchronously from the algorithm's goroutine; a recorder that needs to be
-// shared across goroutines must synchronize internally (see ShardedRecorder).
+// Recorder consumes the event stream of a Hierarchy in blocks: RecordBatch
+// receives events in emission order, and a single event is a batch of one.
+// The slice is owned by the caller and invalid after RecordBatch returns, so
+// implementations must not retain it. RecordBatch is called synchronously
+// from the emitting goroutine; a recorder that needs to be shared across
+// goroutines must synchronize internally (see ShardedRecorder).
 type Recorder interface {
-	Record(Event)
+	RecordBatch(events []Event)
 }
 
 // TouchInterest is an optional Recorder refinement: recorders that want the
@@ -137,8 +140,10 @@ func NewCounterSet(levels int) *CounterSet {
 	}
 }
 
-// Record accumulates one event.
-func (c *CounterSet) Record(e Event) {
+// record accumulates one event. It is the per-event body behind the
+// occupancy-ordered kinds of RecordBatch, and what the Hierarchy's
+// unbuffered default counters and GrowingCounters call directly.
+func (c *CounterSet) record(e Event) {
 	switch e.Kind {
 	case EvLoad:
 		c.Iface[e.Arg].LoadWords += e.Words
@@ -179,7 +184,7 @@ func (c *CounterSet) Record(e Event) {
 
 // RecordBatch accumulates a block of events. The occupancy-bearing kinds
 // (loads, stores, inits, discards) are order-dependent — Occupancy clamps at
-// zero and PeakOccupancy is a running max — so they go through Record one by
+// zero and PeakOccupancy is a running max — so they go through record one by
 // one; the linear counters (flops, touches) accumulate into locals and commit
 // once, which is the bulk of a traced stream.
 func (c *CounterSet) RecordBatch(events []Event) {
@@ -202,7 +207,7 @@ func (c *CounterSet) RecordBatch(events []Event) {
 				}
 			}
 		case EvLoad, EvStore, EvInit, EvDiscard:
-			c.Record(*e)
+			c.record(*e)
 		}
 	}
 	c.FlopCount += flops

@@ -12,8 +12,8 @@ type collector struct {
 	wantTouch bool
 }
 
-func (c *collector) Record(e Event)   { c.events = append(c.events, e) }
-func (c *collector) WantsTouch() bool { return c.wantTouch }
+func (c *collector) RecordBatch(es []Event) { c.events = append(c.events, es...) }
+func (c *collector) WantsTouch() bool       { return c.wantTouch }
 
 func TestTheorem1HoldsWithZeroTraffic(t *testing.T) {
 	h := TwoLevel(64)
@@ -158,10 +158,10 @@ func TestShardedRecorderMergesConcurrentCounts(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				rec.Record(Event{Kind: EvLoad, Arg: 0, Words: 3})
-				rec.Record(Event{Kind: EvTouch, Addr: uint64(i), Write: i%2 == 0})
-				rec.Record(Event{Kind: EvFlops, Words: 2})
-				rec.Record(Event{Kind: EvStore, Arg: 0, Words: 3})
+				rec.RecordBatch([]Event{{Kind: EvLoad, Arg: 0, Words: 3}})
+				rec.RecordBatch([]Event{{Kind: EvTouch, Addr: uint64(i), Write: i%2 == 0}})
+				rec.RecordBatch([]Event{{Kind: EvFlops, Words: 2}})
+				rec.RecordBatch([]Event{{Kind: EvStore, Arg: 0, Words: 3}})
 			}
 		}()
 	}

@@ -29,16 +29,16 @@ func NewGrowingCounters(levels []Level) *GrowingCounters {
 	}
 }
 
-// Record grows the geometry to fit e and accumulates it. Span marks and
+// Count grows the geometry to fit e and accumulates it. Span marks and
 // range annotations carry no counter delta and are ignored, so callers that
 // care about them (span recorders) handle those kinds before delegating.
-func (g *GrowingCounters) Record(e Event) {
+func (g *GrowingCounters) Count(e Event) {
 	switch e.Kind {
 	case EvBegin, EvEnd, EvRange:
 		return
 	}
 	g.grow(e)
-	g.cur.Record(e)
+	g.cur.record(e)
 }
 
 // grow extends the level list and counter set so an event addressing a

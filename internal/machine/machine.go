@@ -64,20 +64,8 @@ type LevelCounters struct {
 // once at Attach time, so the flush loop never repeats type assertions.
 type attached struct {
 	rec   Recorder
-	fast  BatchRecorder // non-nil when rec implements the native block path
-	aware BatchAware    // non-nil when rec tracks dirty sources
-	touch bool          // wants the EvTouch/EvRange stream
-}
-
-// deliver hands a block to the recorder: natively or via per-event unrolling.
-func (a *attached) deliver(events []Event) {
-	if a.fast != nil {
-		a.fast.RecordBatch(events)
-		return
-	}
-	for i := range events {
-		a.rec.Record(events[i])
-	}
+	aware BatchAware // non-nil when rec tracks dirty sources
+	touch bool       // wants the EvTouch/EvRange stream
 }
 
 // Hierarchy is a concrete machine with explicit, programmer-controlled data
@@ -145,7 +133,6 @@ func (h *Hierarchy) LevelInfo(i int) Level { return h.levels[i] }
 func (h *Hierarchy) Attach(r Recorder) {
 	h.Flush()
 	a := attached{rec: r}
-	a.fast, _ = r.(BatchRecorder)
 	a.aware, _ = r.(BatchAware)
 	if ti, ok := r.(TouchInterest); ok && ti.WantsTouch() {
 		a.touch = true
@@ -188,9 +175,9 @@ func (h *Hierarchy) Marking() bool { return h.marking > 0 }
 // Touch dispatches one element access to the touch-interested recorders. It
 // is the tracing fast path: a no-op unless Tracing() is true, and it never
 // touches the word counters (the enclosing Load/Store/Flops already did).
-// Touches bypass the default counters entirely, exactly like the per-event
-// engine did: non-touch recorders never see them either (the flush strips
-// them), so a Hierarchy's own CounterSet reports zero touches always.
+// Touches bypass the default counters entirely: non-touch recorders never
+// see them either (the flush strips them), so a Hierarchy's own CounterSet
+// reports zero touches always.
 func (h *Hierarchy) Touch(addr uint64, write bool) {
 	if h.touchN == 0 {
 		return
@@ -259,7 +246,7 @@ func (h *Hierarchy) Range(iface int, addr uint64, words int64, store bool) {
 // dispatch records an event in the default counters and buffers it for the
 // attached recorders.
 func (h *Hierarchy) dispatch(e Event) {
-	h.def.Record(e)
+	h.def.record(e)
 	if len(h.recs) == 0 {
 		return
 	}
@@ -298,11 +285,11 @@ func (h *Hierarchy) pushEdge(e Event) {
 }
 
 // Flush delivers every buffered event to the attached recorders, in attach
-// order, each recorder seeing the events in emission order: natively for
-// BatchRecorders, unrolled through Record otherwise. Non-touch recorders get
-// the block with EvTouch/EvRange stripped (they never see those kinds, same
-// as the per-event engine). Safe to call any time; a no-op when nothing is
-// buffered or when called re-entrantly from inside a delivery.
+// order, each recorder seeing the events in emission order as one
+// RecordBatch call. Non-touch recorders get the block with EvTouch/EvRange
+// stripped (they never see those kinds, at any batch capacity). Safe to call
+// any time; a no-op when nothing is buffered or when called re-entrantly from
+// inside a delivery.
 func (h *Hierarchy) Flush() {
 	if h.flushing || len(h.batch) == 0 {
 		return
@@ -312,7 +299,7 @@ func (h *Hierarchy) Flush() {
 	for i := range h.recs {
 		a := &h.recs[i]
 		if a.touch {
-			a.deliver(h.batch)
+			a.rec.RecordBatch(h.batch)
 			continue
 		}
 		if !filtered {
@@ -327,7 +314,7 @@ func (h *Hierarchy) Flush() {
 			filtered = true
 		}
 		if len(h.scratch) > 0 {
-			a.deliver(h.scratch)
+			a.rec.RecordBatch(h.scratch)
 		}
 	}
 	h.batch = h.batch[:0]
@@ -340,7 +327,7 @@ func (h *Hierarchy) Flush() {
 }
 
 // SetBatchCapacity resizes the event buffer (minimum 1: every event flushes
-// immediately, which is the per-event engine's delivery timing and what the
+// immediately as a batch of one, which is the reference engine the
 // differential tests pin the batched engine against). Pending events are
 // flushed first. The capacity only affects WHEN attached recorders see
 // events, never what they see.

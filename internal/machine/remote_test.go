@@ -45,11 +45,11 @@ func TestRemoteAccessesAreSubCounters(t *testing.T) {
 func TestRemoteEventsInShardsAndGrowingCounters(t *testing.T) {
 	rec := NewShardedRecorder(2)
 	hnd := rec.Handle()
-	hnd.Record(Event{Kind: EvLoad, Arg: 0, Words: 10})
-	hnd.Record(Event{Kind: EvLoad, Arg: 0, Words: 4, Remote: true})
-	hnd.Record(Event{Kind: EvStore, Arg: 0, Words: 3, Remote: true})
-	hnd.Record(Event{Kind: EvTouch, Addr: 1, Write: true, Remote: true})
-	hnd.Record(Event{Kind: EvTouch, Addr: 2})
+	hnd.RecordBatch([]Event{{Kind: EvLoad, Arg: 0, Words: 10}})
+	hnd.RecordBatch([]Event{{Kind: EvLoad, Arg: 0, Words: 4, Remote: true}})
+	hnd.RecordBatch([]Event{{Kind: EvStore, Arg: 0, Words: 3, Remote: true}})
+	hnd.RecordBatch([]Event{{Kind: EvTouch, Addr: 1, Write: true, Remote: true}})
+	hnd.RecordBatch([]Event{{Kind: EvTouch, Addr: 2}})
 
 	cs := rec.Merge()
 	if cs.Iface[0].LoadWords != 14 || cs.Iface[0].RemoteLoadWords != 4 {
@@ -63,7 +63,7 @@ func TestRemoteEventsInShardsAndGrowingCounters(t *testing.T) {
 	}
 
 	g := NewGrowingCounters(GenericLevels(2))
-	g.Record(Event{Kind: EvLoad, Arg: 0, Words: 4, Remote: true})
+	g.Count(Event{Kind: EvLoad, Arg: 0, Words: 4, Remote: true})
 	if s := g.Snapshot(); s.Interfaces[0].RemoteLoadWords != 4 || s.Interfaces[0].LoadWords != 4 {
 		t.Fatalf("growing snapshot: %+v", s.Interfaces[0])
 	}

@@ -19,10 +19,10 @@ type ShardedRecorder struct {
 	levels int
 	mu     sync.Mutex
 	shards []*Shard
-	// shared lazily holds the common shard backing ShardedRecorder.Record
-	// itself. It is an atomic pointer so the steady-state shared path is a
-	// single load plus atomic adds — the mutex is only taken once, to
-	// publish the shard on first use.
+	// shared lazily holds the common shard backing
+	// ShardedRecorder.RecordBatch itself. It is an atomic pointer so the
+	// steady-state shared path is a single load plus atomic adds — the
+	// mutex is only taken once, to publish the shard on first use.
 	shared atomic.Pointer[Shard]
 }
 
@@ -47,19 +47,6 @@ func (s *ShardedRecorder) Handle() *Shard {
 	return sh
 }
 
-// Record lets the ShardedRecorder itself be attached as a shared recorder; it
-// lazily allocates a common shard once, after which the path is lock-free
-// (an atomic pointer load plus the shard's atomic adds). Per-goroutine
-// handles are still cheaper: they skip the pointer load and never contend on
-// the same cache lines.
-func (s *ShardedRecorder) Record(e Event) {
-	sh := s.shared.Load()
-	if sh == nil {
-		sh = s.initShared()
-	}
-	sh.Record(e)
-}
-
 // initShared publishes the common shard exactly once. Racing callers all
 // return the same shard: the winner registers it under the mutex, losers
 // re-load it.
@@ -75,9 +62,11 @@ func (s *ShardedRecorder) initShared() *Shard {
 	return sh
 }
 
-// RecordBatch delivers a block to the common shard: the atomic-pointer hop is
-// paid once per block instead of once per event, and the shard's own block
-// path commits each touched counter with one atomic add.
+// RecordBatch lets the ShardedRecorder itself be attached as a shared
+// recorder: it lazily allocates a common shard once, after which the path is
+// lock-free (an atomic pointer load per block plus the shard's atomic adds,
+// one per touched counter). Per-goroutine handles are still cheaper: they
+// skip the pointer load and never contend on the same cache lines.
 func (s *ShardedRecorder) RecordBatch(events []Event) {
 	if len(events) == 0 {
 		return
@@ -148,8 +137,9 @@ func newShard(levels int) *Shard {
 	}
 }
 
-// Record accumulates one event with atomic adds.
-func (sh *Shard) Record(e Event) {
+// record accumulates one event with atomic adds: RecordBatch's fallback for
+// hierarchies deeper than shardBatchLevels.
+func (sh *Shard) record(e Event) {
 	switch e.Kind {
 	case EvLoad:
 		sh.loadWords[e.Arg].Add(e.Words)
@@ -198,7 +188,7 @@ func (sh *Shard) RecordBatch(events []Event) {
 	levels := len(sh.initWords)
 	if levels > shardBatchLevels {
 		for i := range events {
-			sh.Record(events[i])
+			sh.record(events[i])
 		}
 		return
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The shared Record path (the ShardedRecorder attached directly, no
+// The shared RecordBatch path (the ShardedRecorder attached directly, no
 // per-goroutine handles) must stay exact and race-free under concurrent
 // writers now that the steady state is a lock-free atomic-pointer load.
 // Run with -race.
@@ -22,8 +22,8 @@ func TestShardedRecorderSharedPathConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				// All goroutines hammer the shared path directly.
-				rec.Record(Event{Kind: EvLoad, Arg: 1, Words: 2})
-				rec.Record(Event{Kind: EvTouch, Addr: uint64(i), Write: w%2 == 0})
+				rec.RecordBatch([]Event{{Kind: EvLoad, Arg: 1, Words: 2}})
+				rec.RecordBatch([]Event{{Kind: EvTouch, Addr: uint64(i), Write: w%2 == 0}})
 			}
 		}(w)
 	}
@@ -54,9 +54,9 @@ func TestShardedRecorderSharedPathSingleShard(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			rec.Record(Event{Kind: EvFlops, Words: 1}) // all race on first use
+			rec.RecordBatch([]Event{{Kind: EvFlops, Words: 1}}) // all race on first use
 			h := rec.Handle()
-			h.Record(Event{Kind: EvFlops, Words: 10})
+			h.RecordBatch([]Event{{Kind: EvFlops, Words: 10}})
 		}()
 	}
 	close(start)

@@ -159,30 +159,16 @@ func (h *Hierarchy) StreamTo(w io.Writer, every int64) *StreamRecorder {
 	return s
 }
 
-// Record accumulates one event and flushes a record when the periodic
-// threshold is reached. Span marks and range annotations carry no counter
-// deltas and are not counted as events; phase labels on the stream stay
-// under the caller's explicit Phase control (span attribution is the
-// profile.SpanRecorder's job).
-func (s *StreamRecorder) Record(e Event) {
-	switch e.Kind {
-	case EvBegin, EvEnd, EvRange:
-		return
-	}
-	s.g.Record(e)
-	s.events++
-	s.total++
-	if s.every > 0 && s.events >= s.every {
-		s.flush(false)
-	}
-}
-
-// RecordBatch consumes a block of events. Flush cadence is pinned to the
-// per-event engine's: the every-N threshold is checked after each event of
-// the block, so an Every smaller than the batch capacity still emits one
-// record per N events, with exactly the same deltas, from inside the block.
-// Batching moves the moment records are written — delivery happens at the
-// hierarchy's flush boundaries — but never which events each record covers.
+// RecordBatch accumulates a block of events, flushing a record whenever the
+// periodic threshold is reached. Span marks and range annotations carry no
+// counter deltas and are not counted as events; phase labels on the stream
+// stay under the caller's explicit Phase control (span attribution is the
+// profile.SpanRecorder's job). The every-N threshold is checked after each
+// event of the block, so an Every smaller than the batch capacity still
+// emits one record per N events, with exactly the same deltas, from inside
+// the block. Batching moves the moment records are written — delivery
+// happens at the hierarchy's flush boundaries — but never which events each
+// record covers.
 func (s *StreamRecorder) RecordBatch(events []Event) {
 	for i := range events {
 		e := &events[i]
@@ -190,7 +176,7 @@ func (s *StreamRecorder) RecordBatch(events []Event) {
 		case EvBegin, EvEnd, EvRange:
 			continue
 		}
-		s.g.Record(*e)
+		s.g.Count(*e)
 		s.events++
 		s.total++
 		if s.every > 0 && s.events >= s.every {

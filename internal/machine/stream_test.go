@@ -193,9 +193,9 @@ func TestSnapshotSubAddRoundTrip(t *testing.T) {
 func TestSnapshotOfMergedShards(t *testing.T) {
 	rec := NewShardedRecorder(2)
 	hnd := rec.Handle()
-	hnd.Record(Event{Kind: EvLoad, Arg: 0, Words: 10})
-	hnd.Record(Event{Kind: EvTouch, Addr: 1, Write: true})
-	hnd.Record(Event{Kind: EvTouch, Addr: 2})
+	hnd.RecordBatch([]Event{{Kind: EvLoad, Arg: 0, Words: 10}})
+	hnd.RecordBatch([]Event{{Kind: EvTouch, Addr: 1, Write: true}})
+	hnd.RecordBatch([]Event{{Kind: EvTouch, Addr: 2}})
 
 	s := SnapshotOf(GenericLevels(2), rec.Merge())
 	if s.Interfaces[0].LoadWords != 10 || s.Interfaces[0].LoadMsgs != 1 {

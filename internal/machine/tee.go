@@ -11,8 +11,8 @@ package machine
 // The tee preserves the engine's delivery contracts exactly:
 //
 //   - RecordBatch forwards the caller's slice to every child within the
-//     call (children must not retain it, same as any BatchRecorder), so a
-//     batch still costs one dispatch per child, not one per event.
+//     call (children must not retain it, same as any Recorder), so a batch
+//     still costs one dispatch per child, not one per event.
 //   - Touch and span interest are the union of the children's: the tee asks
 //     for the denser streams iff some child would, and children that did not
 //     ask still receive them — the same over-delivery any multi-recorder
@@ -45,17 +45,10 @@ func Tee(rs ...Recorder) Recorder {
 	return &tee{rs: kept}
 }
 
-// Record forwards one event to every child in order.
-func (t *tee) Record(e Event) {
-	for _, r := range t.rs {
-		r.Record(e)
-	}
-}
-
-// RecordBatch forwards the block to every child, natively where supported.
+// RecordBatch forwards the block to every child in order.
 func (t *tee) RecordBatch(events []Event) {
 	for _, r := range t.rs {
-		RecordAll(r, events)
+		r.RecordBatch(events)
 	}
 }
 

@@ -25,14 +25,8 @@ func NewTraceRecorder(sink AddrSink) *TraceRecorder {
 	return &TraceRecorder{Sink: sink}
 }
 
-// Record forwards element accesses and ignores every other event.
-func (t *TraceRecorder) Record(e Event) {
-	if e.Kind == EvTouch {
-		t.Sink.Access(e.Addr, e.Write)
-	}
-}
-
-// RecordBatch forwards a block of element accesses in order.
+// RecordBatch forwards the block's element accesses in order and ignores
+// every other event.
 func (t *TraceRecorder) RecordBatch(events []Event) {
 	for i := range events {
 		if events[i].Kind == EvTouch {

@@ -148,9 +148,9 @@ type FamilyHistogram struct {
 	Snap   HistogramSnapshot
 }
 
-// HistogramRecorder is a machine.Recorder/BatchRecorder that turns the exact
-// per-phase Snapshot deltas of a run into distributions: at every Phase mark
-// it closes the running phase and observes
+// HistogramRecorder is a machine.Recorder that turns the exact per-phase
+// Snapshot deltas of a run into distributions: at every Phase mark it closes
+// the running phase and observes
 //
 //	wa_phase_duration_seconds     the phase's wall time
 //	wa_phase_load_words           words loaded across all interfaces
@@ -241,20 +241,8 @@ func (h *HistogramRecorder) ObserveFloorSlack(kernel string, observed, floor flo
 	h.slack.Observe(observed / floor)
 }
 
-// Record accumulates one event under the current phase.
-func (h *HistogramRecorder) Record(e machine.Event) {
-	switch e.Kind {
-	case machine.EvBegin, machine.EvEnd, machine.EvRange:
-		return
-	}
-	h.sources.Sync()
-	h.mu.Lock()
-	h.g.Record(e)
-	h.events++
-	h.mu.Unlock()
-}
-
-// RecordBatch accumulates a block of events under one lock acquisition.
+// RecordBatch accumulates a block of events under the current phase, with
+// one lock acquisition per block.
 func (h *HistogramRecorder) RecordBatch(events []machine.Event) {
 	h.mu.Lock()
 	for i := range events {
@@ -263,7 +251,7 @@ func (h *HistogramRecorder) RecordBatch(events []machine.Event) {
 		case machine.EvBegin, machine.EvEnd, machine.EvRange:
 			continue
 		}
-		h.g.Record(*e)
+		h.g.Count(*e)
 		h.events++
 	}
 	h.mu.Unlock()

@@ -274,8 +274,8 @@ func TestHistogramRecorderFloorSlack(t *testing.T) {
 func TestHistogramRecorderRemoteShare(t *testing.T) {
 	rec := NewHistogramRecorder(machine.GenericLevels(2))
 	rec.Phase("numa")
-	rec.Record(machine.Event{Kind: machine.EvStore, Arg: 0, Words: 100})
-	rec.Record(machine.Event{Kind: machine.EvStore, Arg: 0, Words: 25, Remote: true})
+	rec.RecordBatch([]machine.Event{{Kind: machine.EvStore, Arg: 0, Words: 100}})
+	rec.RecordBatch([]machine.Event{{Kind: machine.EvStore, Arg: 0, Words: 25, Remote: true}})
 	rec.Finish()
 	for _, fh := range rec.Histograms() {
 		if fh.Family == "wa_phase_remote_write_share" {

@@ -173,23 +173,8 @@ func New(levels []machine.Level, reg *Registry) *Monitor {
 	return m
 }
 
-// Record accumulates one event under the current phase label.
-func (m *Monitor) Record(e machine.Event) {
-	switch e.Kind {
-	case machine.EvBegin, machine.EvEnd, machine.EvRange:
-		return
-	}
-	m.sources.Sync()
-	m.mu.Lock()
-	m.g.Record(e)
-	m.events++
-	m.total++
-	m.mu.Unlock()
-}
-
-// RecordBatch accumulates a block of events under one lock acquisition — the
-// monitor's biggest win from batching, since the per-event path paid a
-// mutex round-trip per primitive.
+// RecordBatch accumulates a block of events under the current phase label,
+// with one lock acquisition per block rather than per primitive.
 func (m *Monitor) RecordBatch(events []machine.Event) {
 	m.mu.Lock()
 	for i := range events {
@@ -198,7 +183,7 @@ func (m *Monitor) RecordBatch(events []machine.Event) {
 		case machine.EvBegin, machine.EvEnd, machine.EvRange:
 			continue
 		}
-		m.g.Record(*e)
+		m.g.Count(*e)
 		m.events++
 		m.total++
 	}

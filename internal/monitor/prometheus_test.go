@@ -14,9 +14,9 @@ import (
 // need escaping — must round-trip through ValidateExposition.
 func TestExpositionRoundTrip(t *testing.T) {
 	g := machine.NewGrowingCounters(machine.GenericLevels(3))
-	g.Record(machine.Event{Kind: machine.EvLoad, Arg: 0, Words: 100})
-	g.Record(machine.Event{Kind: machine.EvStore, Arg: 1, Words: 40})
-	g.Record(machine.Event{Kind: machine.EvFlops, Words: 7})
+	g.Count(machine.Event{Kind: machine.EvLoad, Arg: 0, Words: 100})
+	g.Count(machine.Event{Kind: machine.EvStore, Arg: 1, Words: 40})
+	g.Count(machine.Event{Kind: machine.EvFlops, Words: 7})
 
 	samples := []metricSample{{family: "wa_up", value: 1}}
 	samples = snapshotSamples(samples, g.Snapshot(), nil)

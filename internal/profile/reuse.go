@@ -61,15 +61,8 @@ func NewReuseRecorder() *ReuseRecorder {
 // WantsTouch subscribes the recorder to the per-element stream.
 func (r *ReuseRecorder) WantsTouch() bool { return true }
 
-// Record consumes one event; only EvTouch carries reuse information.
-func (r *ReuseRecorder) Record(e machine.Event) {
-	if e.Kind != machine.EvTouch {
-		return
-	}
-	r.Touch(e.Addr, e.Write)
-}
-
-// RecordBatch consumes a block of events in order.
+// RecordBatch consumes a block of events in order; only EvTouch carries
+// reuse information.
 func (r *ReuseRecorder) RecordBatch(events []machine.Event) {
 	for i := range events {
 		if events[i].Kind == machine.EvTouch {

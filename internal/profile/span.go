@@ -115,17 +115,11 @@ func (r *SpanRecorder) WantsTouch() bool { return true }
 // turns on Hierarchy.Marking so drivers format span labels.
 func (r *SpanRecorder) WantsSpans() bool { return true }
 
-// Record consumes one event: marks manage the span stack, everything else
-// advances the counters and the clock. Direct Record calls sync any events
-// still buffered in attached hierarchies first, so mixed driving (a direct
-// meter plus a batched hierarchy) keeps the per-event engine's order.
-func (r *SpanRecorder) Record(e machine.Event) {
-	r.Sync()
-	r.record1(e)
-}
-
-// RecordBatch consumes a block of events in order — the hierarchy's flush
-// delivery path, which must not re-sync.
+// RecordBatch consumes a block of events in order: marks manage the span
+// stack, everything else advances the counters and the clock. It does not
+// sync (it is the hierarchy's flush delivery path), so a direct driver that
+// shares the recorder with batched hierarchies must order itself after their
+// buffered events with Sync, Begin or Mark first.
 func (r *SpanRecorder) RecordBatch(events []machine.Event) {
 	for i := range events {
 		r.record1(events[i])
@@ -143,7 +137,7 @@ func (r *SpanRecorder) record1(e machine.Event) {
 	case machine.EvRange:
 		return // address annotation; carries no counter delta
 	}
-	r.g.Record(e)
+	r.g.Count(e)
 	r.clock++
 	if r.hasModel {
 		r.charge(e)

@@ -224,11 +224,11 @@ func TestSpanEndWithoutBeginPanics(t *testing.T) {
 func TestSpanMarkPartitionsRun(t *testing.T) {
 	rec := profile.NewSpanRecorder(machine.GenericLevels(2))
 	rec.Mark("alpha")
-	rec.Record(machine.Event{Kind: machine.EvLoad, Words: 10})
+	rec.RecordBatch([]machine.Event{{Kind: machine.EvLoad, Words: 10}})
 	rec.Begin("inner")
-	rec.Record(machine.Event{Kind: machine.EvStore, Words: 4})
+	rec.RecordBatch([]machine.Event{{Kind: machine.EvStore, Words: 4}})
 	rec.Mark("beta") // closes inner and alpha
-	rec.Record(machine.Event{Kind: machine.EvFlops, Words: 7})
+	rec.RecordBatch([]machine.Event{{Kind: machine.EvFlops, Words: 7}})
 	rec.Finish()
 	roots := rec.Roots()
 	if len(roots) != 2 || roots[0].Name != "alpha" || roots[1].Name != "beta" {

@@ -15,10 +15,10 @@ import (
 func TestWriteTraceEventRoundTrip(t *testing.T) {
 	rec := profile.NewSpanRecorder(machine.GenericLevels(3))
 	rec.Begin("outer")
-	rec.Record(machine.Event{Kind: machine.EvLoad, Arg: 0, Words: 10})
+	rec.RecordBatch([]machine.Event{{Kind: machine.EvLoad, Arg: 0, Words: 10}})
 	rec.Begin("inner")
-	rec.Record(machine.Event{Kind: machine.EvStore, Arg: 1, Words: 5})
-	rec.Record(machine.Event{Kind: machine.EvFlops, Words: 100})
+	rec.RecordBatch([]machine.Event{{Kind: machine.EvStore, Arg: 1, Words: 5}})
+	rec.RecordBatch([]machine.Event{{Kind: machine.EvFlops, Words: 100}})
 	rec.End()
 	rec.End()
 

@@ -50,7 +50,7 @@ func RunParallelPlaced(sched Schedule, rec machine.Recorder, plan SocketPlan) (R
 	if rec == nil {
 		return Result{}, fmt.Errorf("smp: RunParallel needs a recorder")
 	}
-	handler, _ := rec.(interface{ Handle() machine.Recorder })
+	handler, _ := rec.(interface{ Handle() *machine.Shard })
 	topo := plan.Topo.For(len(sched.Queues))
 	classify := plan.Home != nil && !topo.Flat()
 	type tally struct {
@@ -78,7 +78,7 @@ func RunParallelPlaced(sched Schedule, rec machine.Recorder, plan SocketPlan) (R
 			eb := machine.NewEventBatch(machine.DefaultBatchEvents)
 			emit := func(e machine.Event) {
 				if eb.Append(e) {
-					machine.RecordAll(h, eb.Events())
+					h.RecordBatch(eb.Events())
 					eb.Reset()
 				}
 			}
@@ -104,7 +104,7 @@ func RunParallelPlaced(sched Schedule, rec machine.Recorder, plan SocketPlan) (R
 				tallies[w].tasks++
 			}
 			if eb.Len() > 0 {
-				machine.RecordAll(h, eb.Events())
+				h.RecordBatch(eb.Events())
 				eb.Reset()
 			}
 		}(w)
