@@ -131,6 +131,26 @@ func BenchmarkCacheSimFALRU(b *testing.B) {
 	}
 }
 
+// BenchmarkFALRUReplay times the fully-associative LRU cache on the access
+// mix the figures feed it: a recorded 256×16×256 two-level WA trace (L3
+// block 64 over 16 and 8) replayed into the 128 KiB figure cache.
+func BenchmarkFALRUReplay(b *testing.B) {
+	var rec access.Recorder
+	core.NewMatMulTrace(256, 16, 256, 64,
+		core.TraceLevel{Block: 64, ContractionInner: true},
+		core.TraceLevel{Block: 16, ContractionInner: false},
+		core.TraceLevel{Block: 8, ContractionInner: false}).Run(&rec)
+	c := cache.NewFALRU(128*1024, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, op := range rec.Ops {
+			c.Access(op.Addr, op.Write)
+		}
+		c.FlushDirty()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rec.Ops)), "ns/access")
+}
+
 // BenchmarkTraceEmitter times the element-granularity trace generation.
 func BenchmarkTraceEmitter(b *testing.B) {
 	tr := core.NewMatMulTrace(64, 64, 64, 64,

@@ -13,7 +13,6 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"writeavoid/internal/access"
 	"writeavoid/internal/cache"
 	"writeavoid/internal/core"
 )
@@ -39,7 +38,7 @@ func main() {
 
 			// Fully-associative LRU (the Proposition 6.1 setting).
 			fa := cache.NewFALRU(sizeBytes, lineB)
-			tr.Run(access.SinkFunc(fa.Access))
+			tr.Run(fa)
 			fa.FlushDirty()
 			report(tw, b, fit, "LRU (full-assoc)", sizeBytes, fa.Stats().VictimsM, outLines)
 
@@ -55,7 +54,7 @@ func main() {
 			tr2 := core.NewMatMulTrace(n, n, n, lineB,
 				core.TraceLevel{Block: b, ContractionInner: true},
 				core.TraceLevel{Block: 4, ContractionInner: false})
-			tr2.Run(access.SinkFunc(cl.Access))
+			tr2.Run(cl)
 			cl.FlushDirty()
 			report(tw, b, fit, "CLOCK3 (8-way)", lines*lineB, cl.Stats().VictimsM, outLines)
 		}

@@ -1,25 +1,46 @@
 package cache
 
-// FALRU is a fully-associative LRU write-back cache with O(1) accesses,
-// implemented as a hash map plus intrusive doubly-linked recency list. The
+import "writeavoid/internal/machine"
+
+// FALRU is a fully-associative LRU write-back cache with O(1) accesses. The
 // Proposition 6.1/6.2 experiments, which are stated for a fully-associative
 // LRU fast memory, run on this type; the set-associative Cache would need
 // associativity equal to the full line count and pay a linear victim scan.
+//
+// Resident lines live in slot arrays preallocated to capacity, threaded by
+// int32 recency links. Lines are found through an open-addressing index
+// (multiplicative hash, linear probing, backward-shift deletion) over a
+// power-of-two table of at least twice the capacity, so any 64-bit line
+// number works and no access allocates.
 type FALRU struct {
 	lineBytes int
 	lineShift uint
 	capacity  int // lines
-	nodes     map[uint64]*falruNode
-	head      *falruNode // most recently used
-	tail      *falruNode // least recently used
+
+	line       []uint64 // slot -> resident line number
+	dirty      []bool
+	prev, next []int32 // recency links between slots, nilSlot-terminated
+	head, tail int32   // most / least recently used slot
+	used       int32   // slots filled since the last flush
+
+	index     []falruBucket
+	mask      uint64
+	hashShift uint
 	stats     Stats
 }
 
-type falruNode struct {
-	line       uint64
-	dirty      bool
-	prev, next *falruNode
+// falruBucket is one index entry; slot is the slot number plus one, so the
+// zero value is an empty bucket.
+type falruBucket struct {
+	line uint64
+	slot int32
 }
+
+const nilSlot = -1
+
+// fibMul is 2^64 divided by the golden ratio: multiplying by it and keeping
+// the top bits spreads strided line numbers evenly over the index.
+const fibMul = 0x9E3779B97F4A7C15
 
 // NewFALRU builds a fully-associative LRU cache of sizeBytes capacity.
 func NewFALRU(sizeBytes, lineBytes int) *FALRU {
@@ -29,10 +50,26 @@ func NewFALRU(sizeBytes, lineBytes int) *FALRU {
 	if sizeBytes < lineBytes {
 		panic("cache: size smaller than one line")
 	}
+	capacity := sizeBytes / lineBytes
+	if capacity > 1<<30 {
+		panic("cache: FALRU capacity exceeds 2^30 lines")
+	}
+	bits := uint(1)
+	for 1<<bits < 2*capacity {
+		bits++
+	}
 	c := &FALRU{
 		lineBytes: lineBytes,
-		capacity:  sizeBytes / lineBytes,
-		nodes:     make(map[uint64]*falruNode),
+		capacity:  capacity,
+		line:      make([]uint64, capacity),
+		dirty:     make([]bool, capacity),
+		prev:      make([]int32, capacity),
+		next:      make([]int32, capacity),
+		head:      nilSlot,
+		tail:      nilSlot,
+		index:     make([]falruBucket, 1<<bits),
+		mask:      1<<bits - 1,
+		hashShift: 64 - bits,
 	}
 	for ls := lineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
@@ -61,50 +98,77 @@ func (c *FALRU) Access(addr uint64, write bool) {
 		c.stats.Reads++
 	}
 	line := addr >> c.lineShift
-	if n, ok := c.nodes[line]; ok {
+	if s := c.find(line); s != nilSlot {
 		c.stats.Hits++
 		if write {
-			n.dirty = true
+			c.dirty[s] = true
 		}
-		c.moveToFront(n)
+		if s != c.head {
+			c.unlink(s)
+			c.pushFront(s)
+		}
 		return
 	}
 	c.stats.Misses++
-	if len(c.nodes) >= c.capacity {
-		v := c.tail
-		c.unlink(v)
-		delete(c.nodes, v.line)
-		if v.dirty {
+	var s int32
+	if int(c.used) < c.capacity {
+		s = c.used
+		c.used++
+	} else {
+		s = c.tail
+		if c.dirty[s] {
 			c.stats.VictimsM++
 		} else {
 			c.stats.VictimsE++
 		}
+		c.unlink(s)
+		c.remove(c.line[s])
 	}
 	c.stats.FillsE++
-	n := &falruNode{line: line, dirty: write}
-	c.nodes[line] = n
-	c.pushFront(n)
+	c.line[s] = line
+	c.dirty[s] = write
+	c.insert(line, s)
+	c.pushFront(s)
 }
+
+// RecordBatch replays the block's EvTouch events in order through Access and
+// ignores every other event, exactly as machine.TraceRecorder forwarding to
+// this cache would, minus the interface call per access. Attached to a
+// machine.Hierarchy directly, the cache sees a touch only when the
+// hierarchy's event buffer flushes: flush (or detach) the hierarchy before
+// reading Stats, Contains or LRUDistance, or the tail of the trace may still
+// sit in the buffer.
+func (c *FALRU) RecordBatch(events []machine.Event) {
+	for i := range events {
+		if events[i].Kind == machine.EvTouch {
+			c.Access(events[i].Addr, events[i].Write)
+		}
+	}
+}
+
+// WantsTouch subscribes the cache to the per-element stream.
+func (c *FALRU) WantsTouch() bool { return true }
 
 // FlushDirty writes back all dirty lines and empties the cache.
 func (c *FALRU) FlushDirty() {
-	for _, n := range c.nodes {
-		if n.dirty {
+	for _, d := range c.dirty[:c.used] {
+		if d {
 			c.stats.VictimsM++
 			c.stats.Flushed++
 		}
 	}
-	c.nodes = make(map[uint64]*falruNode)
-	c.head, c.tail = nil, nil
+	clear(c.index)
+	c.used = 0
+	c.head, c.tail = nilSlot, nilSlot
 }
 
 // Contains reports residency and state of the line holding addr.
 func (c *FALRU) Contains(addr uint64) (State, bool) {
-	n, ok := c.nodes[addr>>c.lineShift]
-	if !ok {
+	s := c.find(addr >> c.lineShift)
+	if s == nilSlot {
 		return Invalid, false
 	}
-	if n.dirty {
+	if c.dirty[s] {
 		return Modified, true
 	}
 	return Exclusive, true
@@ -116,8 +180,8 @@ func (c *FALRU) Contains(addr uint64) (State, bool) {
 func (c *FALRU) LRUDistance(addr uint64) int {
 	line := addr >> c.lineShift
 	rank := 0
-	for n := c.head; n != nil; n = n.next {
-		if n.line == line {
+	for s := c.head; s != nilSlot; s = c.next[s] {
+		if c.line[s] == line {
 			return rank
 		}
 		rank++
@@ -125,36 +189,74 @@ func (c *FALRU) LRUDistance(addr uint64) int {
 	return -1
 }
 
-func (c *FALRU) moveToFront(n *falruNode) {
-	if c.head == n {
-		return
+// home is the index bucket line probes from.
+func (c *FALRU) home(line uint64) uint64 { return line * fibMul >> c.hashShift }
+
+// find returns the slot holding line, or nilSlot.
+func (c *FALRU) find(line uint64) int32 {
+	for i := c.home(line); ; i = (i + 1) & c.mask {
+		b := &c.index[i]
+		if b.slot == 0 {
+			return nilSlot
+		}
+		if b.line == line {
+			return b.slot - 1
+		}
 	}
-	c.unlink(n)
-	c.pushFront(n)
 }
 
-func (c *FALRU) unlink(n *falruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
+// insert indexes line, known to be absent, at slot s.
+func (c *FALRU) insert(line uint64, s int32) {
+	i := c.home(line)
+	for c.index[i].slot != 0 {
+		i = (i + 1) & c.mask
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
+	c.index[i] = falruBucket{line: line, slot: s + 1}
 }
 
-func (c *FALRU) pushFront(n *falruNode) {
-	n.next = c.head
-	n.prev = nil
-	if c.head != nil {
-		c.head.prev = n
+// remove drops line, known to be present, from the index. Backward-shift
+// deletion keeps every probe chain unbroken without tombstones: each later
+// entry of the cluster whose home does not lie cyclically in (hole, entry]
+// moves back into the hole.
+func (c *FALRU) remove(line uint64) {
+	i := c.home(line)
+	for c.index[i].line != line || c.index[i].slot == 0 {
+		i = (i + 1) & c.mask
 	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
+	for j := i; ; {
+		j = (j + 1) & c.mask
+		if c.index[j].slot == 0 {
+			break
+		}
+		if (j-c.home(c.index[j].line))&c.mask >= (j-i)&c.mask {
+			c.index[i] = c.index[j]
+			i = j
+		}
 	}
+	c.index[i] = falruBucket{}
+}
+
+func (c *FALRU) unlink(s int32) {
+	p, n := c.prev[s], c.next[s]
+	if p != nilSlot {
+		c.next[p] = n
+	} else {
+		c.head = n
+	}
+	if n != nilSlot {
+		c.prev[n] = p
+	} else {
+		c.tail = p
+	}
+}
+
+func (c *FALRU) pushFront(s int32) {
+	c.prev[s] = nilSlot
+	c.next[s] = c.head
+	if c.head != nilSlot {
+		c.prev[c.head] = s
+	} else {
+		c.tail = s
+	}
+	c.head = s
 }

@@ -12,10 +12,10 @@ import (
 // the Section 6 experiments (Figures 2 and 5, Propositions 6.1 and 6.2) need
 // element-granularity access streams fed into a simulated cache, and they get
 // them by running the same gemmLevel/trsmLevel/cholLeftLevel recursions that
-// drive the word counters, with a Tracer bound to the operands and a
-// machine.TraceRecorder forwarding every Touch to the sink. There is exactly
-// one implementation of each blocked loop nest; these types only configure
-// it: dims, blocking, per-level loop order, operand address layout.
+// drive the word counters, with a Tracer bound to the operands and the sink
+// receiving every Touch. There is exactly one implementation of each blocked
+// loop nest; these types only configure it: dims, blocking, per-level loop
+// order, operand address layout.
 
 // TraceLevel is one level of blocking in a traced matmul.
 type TraceLevel struct {
@@ -30,11 +30,11 @@ type TraceLevel struct {
 
 // tracePlan assembles the machinery shared by every trace façade: an
 // unbounded non-strict hierarchy with one interface per blocking level, the
-// per-interface loop orders, a Tracer, and a TraceRecorder forwarding to
-// sink. Levels are given coarsest first (interface indices count from the
-// fastest level, so the list is reversed); an empty list degenerates to a
-// single block covering the whole problem, which sends the first recursion
-// step straight to the element kernel.
+// per-interface loop orders, a Tracer, and the sink attached to the
+// hierarchy (see traceRecorder). Levels are given coarsest first (interface
+// indices count from the fastest level, so the list is reversed); an empty
+// list degenerates to a single block covering the whole problem, which sends
+// the first recursion step straight to the element kernel.
 func tracePlan(levels []TraceLevel, maxDim int, sink access.Sink) (*Plan, *Tracer) {
 	bs := make([]int, 0, len(levels))
 	orders := make([]Order, 0, len(levels))
@@ -58,9 +58,23 @@ func tracePlan(levels []TraceLevel, maxDim int, sink access.Sink) (*Plan, *Trace
 		hl[i] = machine.Level{Name: fmt.Sprintf("T%d", i)}
 	}
 	h := machine.New(false, hl...)
-	h.Attach(machine.NewTraceRecorder(sink))
+	h.Attach(traceRecorder(sink))
 	tr := NewTracer(h)
 	return &Plan{H: h, BlockSizes: bs, Orders: orders, Trace: tr}, tr
+}
+
+// traceRecorder returns the recorder that feeds sink. A sink that is itself
+// a touch-interested machine.Recorder (cache.FALRU) is attached as it is and
+// consumes the event batches with no interface call per access; any other
+// sink is wrapped in a TraceRecorder.
+func traceRecorder(sink access.Sink) machine.Recorder {
+	if r, ok := sink.(interface {
+		machine.Recorder
+		machine.TouchInterest
+	}); ok && r.WantsTouch() {
+		return r
+	}
+	return machine.NewTraceRecorder(sink)
 }
 
 // MatMulTrace describes a traced multiplication C(m×l) += A(m×n)*B(n×l),

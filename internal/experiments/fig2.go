@@ -75,7 +75,7 @@ func figCache() *cache.FALRU {
 
 func runTrace(run func(access.Sink)) (cache.Stats, int64) {
 	c := figCache()
-	run(access.SinkFunc(c.Access))
+	run(c)
 	c.FlushDirty()
 	st := c.Stats()
 	return st, st.VictimsM
@@ -175,11 +175,11 @@ func (s *Session) RealCacheCrossCheck() (waVictimsM, coVictimsM int64) {
 		core.TraceLevel{Block: 48, ContractionInner: true},
 		core.TraceLevel{Block: figL2Block, ContractionInner: false},
 		core.TraceLevel{Block: figL1Block, ContractionInner: false}).
-		Run(access.SinkFunc(c1.Access))
+		Run(c1)
 	c1.FlushDirty()
 	c2 := mkClock()
 	core.NewCOMatMulTrace(outer, mid, outer, figL1Block, figLineBytes).
-		Run(access.SinkFunc(c2.Access))
+		Run(c2)
 	c2.FlushDirty()
 	return c1.Stats().VictimsM, c2.Stats().VictimsM
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"writeavoid/internal/access"
 	"writeavoid/internal/cache"
 	"writeavoid/internal/core"
 )
@@ -59,7 +58,7 @@ func (s *Session) MultiLevel(quick bool) []MultiLevelRow {
 			core.TraceLevel{Block: 16, ContractionInner: true},
 			core.TraceLevel{Block: 8, ContractionInner: tc.inner},
 			core.TraceLevel{Block: 4, ContractionInner: tc.inner}).
-			Run(access.SinkFunc(h.Access))
+			Run(h)
 		h.FlushDirty()
 		rows = append(rows, MultiLevelRow{
 			Order:      tc.name,
