@@ -151,6 +151,27 @@ func BenchmarkFALRUReplay(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rec.Ops)), "ns/access")
 }
 
+// BenchmarkSetAssocReplay times the set-associative cache on the §6
+// realism cross-check's access mix: a recorded 250×128×250 two-level WA
+// trace (L3 block 48 over 16 and 8) replayed into the 128 KiB 16-way CLOCK3
+// cache.
+func BenchmarkSetAssocReplay(b *testing.B) {
+	var rec access.Recorder
+	core.NewMatMulTrace(250, 128, 250, 64,
+		core.TraceLevel{Block: 48, ContractionInner: true},
+		core.TraceLevel{Block: 16, ContractionInner: false},
+		core.TraceLevel{Block: 8, ContractionInner: false}).Run(&rec)
+	c := cache.New(cache.Config{SizeBytes: 128 * 1024, LineBytes: 64, Assoc: 16, Policy: cache.PolicyClock3})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, op := range rec.Ops {
+			c.Access(op.Addr, op.Write)
+		}
+		c.FlushDirty()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rec.Ops)), "ns/access")
+}
+
 // BenchmarkTraceEmitter times the element-granularity trace generation.
 func BenchmarkTraceEmitter(b *testing.B) {
 	tr := core.NewMatMulTrace(64, 64, 64, 64,

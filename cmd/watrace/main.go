@@ -297,7 +297,7 @@ type StatsRecord struct {
 }
 
 // statsStream emits StatsRecords during a trace replay. A nil *statsStream
-// is inert: wrap passes the simulator's sink through and close does nothing,
+// is inert: wrap passes the simulator itself through and close does nothing,
 // so the replay paths need no branching.
 type statsStream struct {
 	enc     *json.Encoder
@@ -317,7 +317,7 @@ func newStatsStream(w io.Writer, every int64) *statsStream {
 
 func (s *statsStream) wrap(c cache.Simulator) access.Sink {
 	if s == nil {
-		return access.SinkFunc(c.Access)
+		return c
 	}
 	return access.SinkFunc(func(addr uint64, write bool) {
 		c.Access(addr, write)

@@ -18,6 +18,9 @@ package cache
 
 import (
 	"fmt"
+	"math/rand/v2"
+
+	"writeavoid/internal/machine"
 )
 
 // State is a cache line coherence state. With a single simulated core the
@@ -146,26 +149,38 @@ func (c Config) validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: number of sets %d must be a power of two", sets)
 	}
+	switch c.Policy {
+	case PolicyLRU, PolicyClock3, PolicyFIFO, PolicyRandom:
+	case PolicyPLRU:
+		if assoc&(assoc-1) != 0 {
+			return fmt.Errorf("cache: PLRU requires power-of-two associativity, got %d", assoc)
+		}
+	default:
+		return fmt.Errorf("cache: unknown policy %v", c.Policy)
+	}
 	return nil
 }
 
 // Cache is a set-associative write-back, write-allocate cache.
+//
+// Lines live in set-major flat arrays: way w of set s is entry s*assoc+w of
+// tag, state and meta. Each set also has a header (setHeader) with the
+// replacement policy's counter, the way of the set's last hit or fill and
+// the number of valid ways, which always come first in the set. A lookup
+// probes the last-hit-or-fill way before scanning the valid ways' tags;
+// valid tags are unique within a set, so the probe changes only the search
+// order, never the result.
 type Cache struct {
 	cfg       Config
 	lineShift uint
 	setMask   uint64
 	assoc     int
-	sets      []set
-	policy    policy
+	tag       []uint64
+	state     []State
+	meta      []uint32 // per-way policy metadata (stamps, markers, PLRU tree)
+	hdr       []setHeader
+	rng       *rand.Rand // PolicyRandom only
 	stats     Stats
-}
-
-type set struct {
-	tag   []uint64
-	state []State
-	meta  []uint32 // per-way policy metadata (stamps, markers, ...)
-	aux   uint32   // per-set policy metadata (clock hand, PLRU bits, counter)
-	aux2  uint32
 }
 
 // New builds a cache from a config; it panics on invalid geometry because a
@@ -184,18 +199,16 @@ func New(cfg Config) *Cache {
 		cfg:     cfg,
 		assoc:   assoc,
 		setMask: uint64(nsets - 1),
-		policy:  newPolicy(cfg.Policy, cfg.Seed),
+		tag:     make([]uint64, lines),
+		state:   make([]State, lines),
+		meta:    make([]uint32, lines),
+		hdr:     make([]setHeader, nsets),
+	}
+	if cfg.Policy == PolicyRandom {
+		c.rng = rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xda3e39cb94b95bdb))
 	}
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
-	}
-	c.sets = make([]set, nsets)
-	for i := range c.sets {
-		c.sets[i] = set{
-			tag:   make([]uint64, assoc),
-			state: make([]State, assoc),
-			meta:  make([]uint32, assoc),
-		}
 	}
 	return c
 }
@@ -207,7 +220,7 @@ func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 func (c *Cache) Assoc() int { return c.assoc }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return len(c.hdr) }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -222,35 +235,168 @@ func (c *Cache) Access(addr uint64, write bool) {
 	c.accessTracked(addr, write)
 }
 
+// RecordBatch replays the block's EvTouch events in order through Access and
+// ignores every other event, exactly as machine.TraceRecorder forwarding to
+// this cache would, minus the interface call per access. Attached to a
+// machine.Hierarchy directly, the cache sees a touch only when the
+// hierarchy's event buffer flushes: flush (or detach) the hierarchy before
+// reading Stats or Contains.
+func (c *Cache) RecordBatch(events []machine.Event) {
+	for i := range events {
+		if events[i].Kind == machine.EvTouch {
+			c.accessTracked(events[i].Addr, events[i].Write)
+		}
+	}
+}
+
+// WantsTouch subscribes the cache to the per-element stream.
+func (c *Cache) WantsTouch() bool { return true }
+
 // FlushDirty writes back every modified line (counting into VictimsM and
 // Flushed) and invalidates the whole cache. Experiments call it at the end of
 // a run so that the final resident dirty output counts as written, matching
 // the paper's whole-run counter readings.
 func (c *Cache) FlushDirty() {
-	for i := range c.sets {
-		s := &c.sets[i]
-		for w := 0; w < c.assoc; w++ {
-			if s.state[w] == Modified {
-				c.stats.VictimsM++
-				c.stats.Flushed++
-			}
-			s.state[w] = Invalid
-			s.meta[w] = 0
+	for _, st := range c.state {
+		if st == Modified {
+			c.stats.VictimsM++
+			c.stats.Flushed++
 		}
-		s.aux = 0
-		s.aux2 = 0
 	}
+	c.invalidate()
+}
+
+// invalidate empties the cache and resets every policy's state.
+func (c *Cache) invalidate() {
+	clear(c.state)
+	clear(c.meta)
+	clear(c.hdr)
 }
 
 // Contains reports whether the line holding addr is resident, and its state.
 // Used by tests to probe simulator internals.
 func (c *Cache) Contains(addr uint64) (State, bool) {
 	lineAddr := addr >> c.lineShift
-	s := &c.sets[lineAddr&c.setMask]
-	for w := 0; w < c.assoc; w++ {
-		if s.state[w] != Invalid && s.tag[w] == lineAddr {
-			return s.state[w], true
-		}
+	si := int(lineAddr & c.setMask)
+	if i := c.lookup(si*c.assoc, &c.hdr[si], lineAddr); i >= 0 {
+		return c.state[i], true
 	}
 	return Invalid, false
+}
+
+// lookup returns the flat index of the valid way holding lineAddr in the
+// set whose ways start at base and whose header is h, or -1. It probes the
+// set's last hit or fill first, then compares every valid way's tag with no
+// early exit: at most one matches, and a fixed trip count spares the
+// mispredicted loop exit of the small sets whose probe often fails.
+func (c *Cache) lookup(base int, h *setHeader, lineAddr uint64) int {
+	if h.mru < h.used && c.tag[base+int(h.mru)] == lineAddr {
+		return base + int(h.mru)
+	}
+	found := -1
+	for w, t := range c.tag[base : base+int(h.used)] {
+		if t == lineAddr {
+			found = base + w
+		}
+	}
+	return found
+}
+
+// accessTracked performs the access and reports whether it hit and whether
+// a modified line was evicted (so the hierarchy can propagate the
+// write-back), returning the victim's line address.
+func (c *Cache) accessTracked(addr uint64, write bool) (hit bool, victimLine uint64, victimDirty bool) {
+	c.stats.Accesses++
+	if write {
+		c.stats.Writes++
+	} else {
+		c.stats.Reads++
+	}
+	lineAddr := addr >> c.lineShift
+	si := int(lineAddr & c.setMask)
+	base := si * c.assoc
+	h := &c.hdr[si]
+	if i := c.lookup(base, h, lineAddr); i >= 0 {
+		c.stats.Hits++
+		if write {
+			if c.cfg.WriteThrough {
+				// Write-through: the memory copy is updated
+				// immediately and the line stays clean.
+				c.stats.WriteThroughs++
+			} else {
+				c.state[i] = Modified
+			}
+		}
+		w := i - base
+		h.mru = int32(w)
+		// The policy's hit hook, inline since hits are the common case;
+		// meta is sliced per case, off the path of FIFO and random hits.
+		switch c.cfg.Policy {
+		case PolicyLRU:
+			stamp(h, c.meta[base:base+c.assoc], w)
+		case PolicyClock3:
+			clock3Touch(c.meta[base:base+c.assoc], w)
+		case PolicyPLRU:
+			plruTouch(c.meta[base:base+c.assoc], w)
+		}
+		return true, 0, false
+	}
+	c.stats.Misses++
+	if write && c.cfg.WriteThrough {
+		// No-write-allocate: the write goes straight to memory.
+		c.stats.WriteThroughs++
+		return false, 0, false
+	}
+	// Fill the first invalid way, or evict when the set is full.
+	way := int(h.used)
+	meta := c.meta[base : base+c.assoc]
+	if way < c.assoc {
+		h.used++
+	} else {
+		way = c.victim(h, meta)
+		switch c.state[base+way] {
+		case Modified:
+			c.stats.VictimsM++
+			victimLine, victimDirty = c.tag[base+way], true
+		case Exclusive:
+			c.stats.VictimsE++
+		}
+	}
+	c.stats.FillsE++
+	c.tag[base+way] = lineAddr
+	if write {
+		c.state[base+way] = Modified
+	} else {
+		c.state[base+way] = Exclusive
+	}
+	h.mru = int32(way)
+	c.insert(h, meta, way)
+	return false, victimLine, victimDirty
+}
+
+// insert records a fill into way w.
+func (c *Cache) insert(h *setHeader, meta []uint32, w int) {
+	switch c.cfg.Policy {
+	case PolicyLRU, PolicyFIFO:
+		stamp(h, meta, w)
+	case PolicyClock3:
+		// A freshly filled line starts recently-used with marker 1.
+		meta[w] = 1
+	case PolicyPLRU:
+		plruTouch(meta, w)
+	}
+}
+
+// victim picks the way to evict from a full set.
+func (c *Cache) victim(h *setHeader, meta []uint32) int {
+	switch c.cfg.Policy {
+	case PolicyClock3:
+		return clock3Victim(h, meta)
+	case PolicyPLRU:
+		return plruVictim(meta)
+	case PolicyRandom:
+		return c.rng.IntN(len(meta))
+	default: // LRU, FIFO
+		return oldest(meta)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"writeavoid/internal/access"
+	"writeavoid/internal/machine"
 )
 
 func mkCache(sizeLines, assoc int, pol PolicyKind) *Cache {
@@ -127,6 +128,32 @@ func TestPLRUBasic(t *testing.T) {
 	}
 }
 
+// TestPLRUWideSetsEvictEveryWay streams new lines through one set of 64
+// and of 128 ways: tree-PLRU fills every way in turn, so after 99 rounds of
+// fresh lines none of the first assoc lines is left. A tree kept in 32 bits
+// loses every node from 32 on and leaves about half of them resident.
+func TestPLRUWideSetsEvictEveryWay(t *testing.T) {
+	for _, assoc := range []int{16, 32, 64, 128} {
+		c := mkCache(assoc, assoc, PolicyPLRU)
+		for i := 0; i < 100*assoc; i++ {
+			c.Access(uint64(i)*64, false)
+		}
+		left := 0
+		for i := 0; i < assoc; i++ {
+			if _, ok := c.Contains(uint64(i) * 64); ok {
+				left++
+			}
+		}
+		if left != 0 {
+			t.Errorf("%d ways: %d of the first %d lines still resident after %d new ones",
+				assoc, left, assoc, 99*assoc)
+		}
+		if st := c.Stats(); st.Hits != 0 || st.VictimsE != int64(99*assoc) {
+			t.Errorf("%d ways: stats %+v", assoc, st)
+		}
+	}
+}
+
 // Write-through/no-allocate: every write is a memory write, lines never
 // dirty, write misses do not fill.
 func TestWriteThroughMode(t *testing.T) {
@@ -216,6 +243,9 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 65, LineBytes: 64},
 		{SizeBytes: 64 * 12, LineBytes: 64, Assoc: 5}, // 12 lines % 5 != 0
 		{SizeBytes: 64 * 12, LineBytes: 64, Assoc: 2}, // 6 sets not power of two
+		{SizeBytes: 64 * 48, LineBytes: 64, Assoc: 12, Policy: PolicyPLRU},
+		{SizeBytes: 64 * 12, LineBytes: 64, Policy: PolicyPLRU}, // one set of 12 ways
+		{SizeBytes: 64 * 16, LineBytes: 64, Assoc: 4, Policy: PolicyKind(99)},
 	}
 	for i, cfg := range bad {
 		func() {
@@ -473,5 +503,102 @@ func TestLayoutDisjointRegions(t *testing.T) {
 	}
 	if a.Addr(2, 3) != a.Base+uint64(2*10+3)*8 {
 		t.Fatal("row-major addressing broken")
+	}
+}
+
+// TestSetAssocDoesNotAllocate pins zero allocations per access for every
+// policy on a hit, a clean eviction and a dirty eviction, for a hierarchy
+// access whose dirty L1 victim cascades into L2, and per RecordBatch of
+// either.
+func TestSetAssocDoesNotAllocate(t *testing.T) {
+	const sets, assoc = 2, 4
+	allocs := func(name string, run func(), count func() int64) {
+		t.Helper()
+		for i := 0; i < 4*assoc*sets; i++ {
+			run()
+		}
+		before := count()
+		if a := testing.AllocsPerRun(200, run); a != 0 {
+			t.Errorf("%s: %v allocs per access", name, a)
+		}
+		if got := count() - before; got != 201 { // AllocsPerRun adds one warm-up run
+			t.Errorf("%s: counted %d of 201 accesses, stream does not exercise it", name, got)
+		}
+	}
+	for _, pol := range []PolicyKind{PolicyLRU, PolicyClock3, PolicyFIFO, PolicyPLRU, PolicyRandom} {
+		c := mkCache(sets*assoc, assoc, pol)
+		var k uint64
+		fresh := func(write bool) func() { // a new line of set 0 each time: always evicts
+			return func() {
+				k++
+				c.Access(k*sets*64, write)
+			}
+		}
+		allocs(pol.String()+" hit", func() { c.Access(0, false) }, func() int64 { return c.Stats().Hits })
+		allocs(pol.String()+" clean eviction", fresh(false), func() int64 { return c.Stats().VictimsE })
+		c.FlushDirty()
+		allocs(pol.String()+" dirty eviction", fresh(true), func() int64 { return c.Stats().VictimsM })
+	}
+
+	h := NewHierarchy(
+		Config{SizeBytes: 4 * 64, LineBytes: 64, Assoc: 2, Policy: PolicyLRU},
+		Config{SizeBytes: 16 * 64, LineBytes: 64, Assoc: 4, Policy: PolicyClock3})
+	var k uint64
+	allocs("hierarchy cascading write-back", func() {
+		k++
+		h.Access(k*64, true)
+	}, func() int64 { return h.Level(0).Stats().VictimsM })
+
+	var batch []machine.Event
+	for i := 0; i < 64; i++ {
+		batch = append(batch, machine.Event{Kind: machine.EvTouch, Addr: uint64(i%40) * 64, Write: i%3 == 0})
+		if i%16 == 0 {
+			batch = append(batch, machine.Event{Kind: machine.EvLoad, Words: 1})
+		}
+	}
+	c := mkCache(32, 4, PolicyClock3)
+	for name, r := range map[string]machine.Recorder{"Cache": c, "Hierarchy": h} {
+		if a := testing.AllocsPerRun(100, func() { r.RecordBatch(batch) }); a != 0 {
+			t.Errorf("%s.RecordBatch: %v allocs per batch", name, a)
+		}
+	}
+}
+
+// TestSetAssocRecordBatchForwardsTouches checks RecordBatch against Access
+// on the same touches, with non-touch events interleaved, for a Cache and a
+// 3-level Hierarchy.
+func TestSetAssocRecordBatchForwardsTouches(t *testing.T) {
+	cfgs := []Config{
+		{SizeBytes: 8 * 64, LineBytes: 64, Assoc: 2, Policy: PolicyLRU},
+		{SizeBytes: 32 * 64, LineBytes: 64, Assoc: 4, Policy: PolicyPLRU},
+		{SizeBytes: 128 * 64, LineBytes: 64, Assoc: 16, Policy: PolicyClock3},
+	}
+	type sim interface {
+		Simulator
+		machine.Recorder
+		WantsTouch() bool
+	}
+	for _, mk := range []func() sim{
+		func() sim { return New(cfgs[2]) },
+		func() sim { return NewHierarchy(cfgs...) },
+	} {
+		rng := rand.New(rand.NewPCG(7, 7))
+		direct, batched := mk(), mk()
+		var events []machine.Event
+		for i := 0; i < 20000; i++ {
+			addr, write := rng.Uint64N(256*64), rng.IntN(4) == 0
+			direct.Access(addr, write)
+			events = append(events, machine.Event{Kind: machine.EvTouch, Addr: addr, Write: write})
+			if i%7 == 0 {
+				events = append(events, machine.Event{Kind: machine.EvStore, Words: 3, Addr: addr})
+			}
+		}
+		batched.RecordBatch(events)
+		if !batched.WantsTouch() {
+			t.Fatalf("%T must subscribe to the touch stream", batched)
+		}
+		if direct.Stats() != batched.Stats() || direct.Stats().VictimsM == 0 {
+			t.Fatalf("%T: batched %+v, direct %+v", batched, batched.Stats(), direct.Stats())
+		}
 	}
 }

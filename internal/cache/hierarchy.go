@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"writeavoid/internal/machine"
+)
 
 // Hierarchy chains caches (fastest first) into a multi-level simulator. An
 // access probes level 0; on a miss it recursively probes the next level; the
@@ -53,109 +57,52 @@ func (h *Hierarchy) Access(addr uint64, write bool) {
 	h.access(0, addr, write)
 }
 
-func (h *Hierarchy) access(lvl int, addr uint64, write bool) {
-	c := h.levels[lvl]
-	hitsBefore := c.stats.Hits
-	wbLine, wbValid := c.accessTracked(addr, write)
-	missed := c.stats.Hits == hitsBefore
-	if lvl+1 < len(h.levels) {
-		if missed {
-			// Fill from the level below (a read there, or a write if
-			// this was a write access that missed everywhere; the
-			// write-allocate fill itself is a read of the line).
-			h.access(lvl+1, addr, false)
-		}
-		if wbValid {
-			// Dirty victim descends one level as a write.
-			h.access(lvl+1, wbLine<<c.lineShift, true)
+// RecordBatch replays the block's EvTouch events in order through Access and
+// ignores every other event, like Cache.RecordBatch: flush (or detach) the
+// machine.Hierarchy it is attached to before reading any level's Stats.
+func (h *Hierarchy) RecordBatch(events []machine.Event) {
+	for i := range events {
+		if events[i].Kind == machine.EvTouch {
+			h.access(0, events[i].Addr, events[i].Write)
 		}
 	}
 }
 
-// accessTracked performs the access and reports whether a modified line was
-// evicted (so the hierarchy can propagate the write-back), returning its line
-// address.
-func (c *Cache) accessTracked(addr uint64, write bool) (victimLine uint64, victimDirty bool) {
-	c.stats.Accesses++
-	if write {
-		c.stats.Writes++
-	} else {
-		c.stats.Reads++
+// WantsTouch subscribes the hierarchy to the per-element stream.
+func (h *Hierarchy) WantsTouch() bool { return true }
+
+// access simulates one access at depth lvl and what it sends below. A hit
+// neither fills nor evicts, so it ends there.
+func (h *Hierarchy) access(lvl int, addr uint64, write bool) {
+	c := h.levels[lvl]
+	hit, wbLine, wbValid := c.accessTracked(addr, write)
+	if hit || lvl+1 == len(h.levels) {
+		return
 	}
-	lineAddr := addr >> c.lineShift
-	si := lineAddr & c.setMask
-	s := &c.sets[si]
-	for w := 0; w < c.assoc; w++ {
-		if s.state[w] != Invalid && s.tag[w] == lineAddr {
-			c.stats.Hits++
-			if write {
-				if c.cfg.WriteThrough {
-					// Write-through: the memory copy is updated
-					// immediately and the line stays clean.
-					c.stats.WriteThroughs++
-				} else {
-					s.state[w] = Modified
-				}
-			}
-			c.policy.touch(s, w, c.assoc)
-			return 0, false
-		}
+	// Fill from the level below (a read there, or a write if this was a
+	// write access that missed everywhere; the write-allocate fill itself
+	// is a read of the line).
+	h.access(lvl+1, addr, false)
+	if wbValid {
+		// Dirty victim descends one level as a write.
+		h.access(lvl+1, wbLine<<c.lineShift, true)
 	}
-	if write && c.cfg.WriteThrough {
-		// No-write-allocate: the write goes straight to memory.
-		c.stats.Misses++
-		c.stats.WriteThroughs++
-		return 0, false
-	}
-	c.stats.Misses++
-	way := -1
-	for w := 0; w < c.assoc; w++ {
-		if s.state[w] == Invalid {
-			way = w
-			break
-		}
-	}
-	if way < 0 {
-		way = c.policy.victim(s, c.assoc)
-		switch s.state[way] {
-		case Modified:
-			c.stats.VictimsM++
-			victimLine, victimDirty = s.tag[way], true
-		case Exclusive:
-			c.stats.VictimsE++
-		}
-	}
-	c.stats.FillsE++
-	s.tag[way] = lineAddr
-	if write {
-		s.state[way] = Modified
-	} else {
-		s.state[way] = Exclusive
-	}
-	c.policy.insert(s, way, c.assoc)
-	return victimLine, victimDirty
 }
 
 // FlushDirty flushes every level, cascading dirty victims downward so that a
 // line dirty only in L1 still reaches the last level as a write-back.
+// Cascaded write-backs only reach deeper levels, which are flushed after.
 func (h *Hierarchy) FlushDirty() {
-	for i := 0; i < len(h.levels); i++ {
-		c := h.levels[i]
-		for si := range c.sets {
-			s := &c.sets[si]
-			for w := 0; w < c.assoc; w++ {
-				if s.state[w] == Modified {
-					c.stats.VictimsM++
-					c.stats.Flushed++
-					if i+1 < len(h.levels) {
-						h.access(i+1, s.tag[w]<<c.lineShift, true)
-					}
+	for i, c := range h.levels {
+		for j, st := range c.state {
+			if st == Modified {
+				c.stats.VictimsM++
+				c.stats.Flushed++
+				if i+1 < len(h.levels) {
+					h.access(i+1, c.tag[j]<<c.lineShift, true)
 				}
-				s.state[w] = Invalid
-				s.meta[w] = 0
 			}
-			s.aux = 0
-			s.aux2 = 0
 		}
+		c.invalidate()
 	}
 }

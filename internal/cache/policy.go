@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"fmt"
-	"math/rand/v2"
-)
+import "fmt"
 
 // PolicyKind selects a replacement policy.
 type PolicyKind int
@@ -42,50 +39,36 @@ func (k PolicyKind) String() string {
 	return fmt.Sprintf("PolicyKind(%d)", int(k))
 }
 
-// policy is the internal per-access hook set. Implementations store their
-// state in the set's meta/aux fields so the hot loop stays allocation-free.
-type policy interface {
-	// touch records a hit on way w.
-	touch(s *set, w, assoc int)
-	// insert records a fill into way w.
-	insert(s *set, w, assoc int)
-	// victim picks the way to evict from a full set.
-	victim(s *set, assoc int) int
+// The replacement policies are plain functions over one set's per-way meta
+// slice and its header, dispatched by a switch on PolicyKind in the hit path
+// of Cache.accessTracked, in Cache.insert and in Cache.victim. None of them
+// allocates.
+
+// setHeader is a set's per-set state: the policy's counter, the way of its
+// last hit or fill, which lookups probe first, and the number of valid ways.
+// Fills take the first invalid way and only a flush invalidates, so the
+// valid ways of a set are always ways 0 to used-1.
+type setHeader struct {
+	aux  uint32 // LRU/FIFO stamp counter, CLOCK3 hand
+	mru  int32
+	used int32
 }
 
-func newPolicy(k PolicyKind, seed uint64) policy {
-	switch k {
-	case PolicyLRU:
-		return lruPolicy{}
-	case PolicyClock3:
-		return clock3Policy{}
-	case PolicyFIFO:
-		return fifoPolicy{}
-	case PolicyPLRU:
-		return plruPolicy{}
-	case PolicyRandom:
-		return &randomPolicy{rng: rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb))}
-	default:
-		panic(fmt.Sprintf("cache: unknown policy %v", k))
-	}
+// --- true LRU and FIFO: per-way stamps from a per-set counter --------------
+
+// stamp gives way w the set's next stamp. LRU stamps on every hit and fill,
+// FIFO only on fills.
+func stamp(h *setHeader, meta []uint32, w int) {
+	h.aux++
+	meta[w] = h.aux
 }
 
-// --- true LRU: per-way stamps from a per-set counter -----------------------
-
-type lruPolicy struct{}
-
-func (lruPolicy) touch(s *set, w, _ int) {
-	s.aux++
-	s.meta[w] = s.aux
-}
-
-func (lruPolicy) insert(s *set, w, assoc int) { lruPolicy{}.touch(s, w, assoc) }
-
-func (lruPolicy) victim(s *set, assoc int) int {
-	best, bestStamp := 0, s.meta[0]
-	for w := 1; w < assoc; w++ {
-		if s.meta[w] < bestStamp {
-			best, bestStamp = w, s.meta[w]
+// oldest returns the way with the smallest stamp, the first on a tie.
+func oldest(meta []uint32) int {
+	best, bestStamp := 0, meta[0]
+	for w := 1; w < len(meta); w++ {
+		if meta[w] < bestStamp {
+			best, bestStamp = w, meta[w]
 		}
 	}
 	return best
@@ -93,96 +76,69 @@ func (lruPolicy) victim(s *set, assoc int) int {
 
 // --- 3-bit clock ------------------------------------------------------------
 
-type clock3Policy struct{}
-
 const clock3Max = 7
 
-func (clock3Policy) touch(s *set, w, _ int) {
-	if s.meta[w] < clock3Max {
-		s.meta[w]++
+func clock3Touch(meta []uint32, w int) {
+	if meta[w] < clock3Max {
+		meta[w]++
 	}
 }
 
-func (clock3Policy) insert(s *set, w, _ int) {
-	// A freshly filled line starts recently-used with marker 1.
-	s.meta[w] = 1
-}
-
-func (clock3Policy) victim(s *set, assoc int) int {
+// clock3Victim advances the hand (h.aux) until it passes a marker of 0,
+// decrementing every marker after each full lap without one.
+func clock3Victim(h *setHeader, meta []uint32) int {
+	assoc := uint32(len(meta))
 	for {
-		for i := 0; i < assoc; i++ {
-			w := int(s.aux) % assoc
-			s.aux = uint32((w + 1) % assoc)
-			if s.meta[w] == 0 {
-				return w
+		for i := uint32(0); i < assoc; i++ {
+			w := h.aux
+			if h.aux++; h.aux == assoc {
+				h.aux = 0
+			}
+			if meta[w] == 0 {
+				return int(w)
 			}
 		}
-		for w := 0; w < assoc; w++ {
-			if s.meta[w] > 0 {
-				s.meta[w]--
+		for w := range meta {
+			if meta[w] > 0 {
+				meta[w]--
 			}
 		}
 	}
-}
-
-// --- FIFO --------------------------------------------------------------------
-
-type fifoPolicy struct{}
-
-func (fifoPolicy) touch(*set, int, int) {}
-
-func (fifoPolicy) insert(s *set, w, _ int) {
-	s.aux++
-	s.meta[w] = s.aux
-}
-
-func (fifoPolicy) victim(s *set, assoc int) int {
-	best, bestStamp := 0, s.meta[0]
-	for w := 1; w < assoc; w++ {
-		if s.meta[w] < bestStamp {
-			best, bestStamp = w, s.meta[w]
-		}
-	}
-	return best
 }
 
 // --- tree PLRU ----------------------------------------------------------------
 
-type plruPolicy struct{}
+// The PLRU tree has assoc-1 nodes, numbered as a complete binary tree over
+// the ways (children of node i are 2i+1 and 2i+2). Node i's bit is bit i&31
+// of meta[i>>5]; 1 means the most recent access went left, so the victim
+// lies right. assoc-1 nodes need at most assoc/32+1 words, which the set's
+// assoc meta words always hold.
 
-// The PLRU tree bits live in s.aux2: bit i is node i of a complete binary
-// tree over the ways; 0 means "left half is older".
-
-func (plruPolicy) touch(s *set, w, assoc int) {
-	// Walk from root to leaf w, pointing each node AWAY from w.
+// plruTouch walks from the root to leaf w, pointing each node away from w.
+func plruTouch(meta []uint32, w int) {
 	node := 0
-	lo, hi := 0, assoc
+	lo, hi := 0, len(meta)
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if w < mid {
-			s.aux2 |= 1 << uint(node) // most-recent went left => LRU side is right
+			meta[node>>5] |= 1 << (node & 31)
 			node = 2*node + 1
 			hi = mid
 		} else {
-			s.aux2 &^= 1 << uint(node) // most-recent went right => LRU side is left
+			meta[node>>5] &^= 1 << (node & 31)
 			node = 2*node + 2
 			lo = mid
 		}
 	}
 }
 
-func (plruPolicy) insert(s *set, w, assoc int) { plruPolicy{}.touch(s, w, assoc) }
-
-func (plruPolicy) victim(s *set, assoc int) int {
-	if assoc&(assoc-1) != 0 {
-		panic("cache: PLRU requires power-of-two associativity")
-	}
+// plruVictim follows the node bits from the root to the pseudo-LRU leaf.
+func plruVictim(meta []uint32) int {
 	node := 0
-	lo, hi := 0, assoc
+	lo, hi := 0, len(meta)
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if s.aux2&(1<<uint(node)) != 0 {
-			// Most recent went left; victim on the right.
+		if meta[node>>5]&(1<<(node&31)) != 0 {
 			node = 2*node + 2
 			lo = mid
 		} else {
@@ -191,17 +147,4 @@ func (plruPolicy) victim(s *set, assoc int) int {
 		}
 	}
 	return lo
-}
-
-// --- random --------------------------------------------------------------------
-
-type randomPolicy struct {
-	rng *rand.Rand
-}
-
-func (*randomPolicy) touch(*set, int, int)  {}
-func (*randomPolicy) insert(*set, int, int) {}
-
-func (p *randomPolicy) victim(_ *set, assoc int) int {
-	return p.rng.IntN(assoc)
 }

@@ -64,9 +64,10 @@ func tracePlan(levels []TraceLevel, maxDim int, sink access.Sink) (*Plan, *Trace
 }
 
 // traceRecorder returns the recorder that feeds sink. A sink that is itself
-// a touch-interested machine.Recorder (cache.FALRU) is attached as it is and
-// consumes the event batches with no interface call per access; any other
-// sink is wrapped in a TraceRecorder.
+// a touch-interested machine.Recorder (cache.FALRU, cache.Cache,
+// cache.Hierarchy) is attached as it is and consumes the event batches with
+// no interface call per access; any other sink is wrapped in a
+// TraceRecorder.
 func traceRecorder(sink access.Sink) machine.Recorder {
 	if r, ok := sink.(interface {
 		machine.Recorder
